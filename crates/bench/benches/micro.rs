@@ -133,12 +133,13 @@ fn bench(c: &mut Criterion) {
 
     // Depth-structured candidate draws through the hierarchical
     // `DelegateView` (the PR 4 membership provider): rebuild one depth's
-    // candidate list through `knows_at_depth` — an O(slots) slot-group
-    // lookup, no flat-view scan — then draw F distinct targets by partial
-    // Fisher–Yates over the reused buffer, exactly the `gossip_depth` hot
-    // path.  Both vectors are allocated once outside the iteration, so the
-    // per-draw cost must stay allocation-free and within a few nanoseconds
-    // of the flat `fanout_draw_through_view` boundary.
+    // candidate list through `filter_known_at_depth` — one read lock, then
+    // an O(slots) slot-group lookup per entry, no flat-view scan — then
+    // draw F distinct targets by partial Fisher–Yates over the reused
+    // buffer, exactly the `gossip_depth` hot path.  Both vectors are
+    // allocated once outside the iteration, so the per-draw cost must stay
+    // allocation-free and within a few nanoseconds of the flat
+    // `fanout_draw_through_view` boundary.
     let delegate_view: Arc<dyn MembershipView> = Arc::new(DelegateView::bootstrap(
         8,
         3,
@@ -155,12 +156,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let own = 37usize;
             delegate_candidates.clear();
-            delegate_candidates.extend(
-                view_targets
-                    .iter()
-                    .copied()
-                    .filter(|&p| p != own && delegate_view.knows_at_depth(own, 2, p)),
-            );
+            let mut pairs = view_targets.iter().filter(|&&p| p != own).map(|&p| (p, p));
+            delegate_view.filter_known_at_depth(own, 2, &mut pairs, &mut delegate_candidates);
             let mut acc = 0usize;
             let picks = 4.min(delegate_candidates.len());
             for slot in 0..picks {
@@ -372,6 +369,27 @@ fn bench(c: &mut Criterion) {
             quiet_sim.is_quiescent()
         })
     });
+
+    // One membership round of the paper-scale delegate tables (22³ =
+    // 10 648 processes, 3 slots) after 10 crashes have been swept.  Almost
+    // every digest lands in a table already at the smallest-live-members
+    // fixed point, which the settled fast path skips without touching the
+    // table, so the round costs the gossip draws plus the few tables that
+    // actually change — not ~160k full admissions.
+    let paper_delegates = DelegateView::bootstrap(22, 3, DelegateViewConfig::default(), 5);
+    for crashed in (0..10).map(|k| k * 1061 + 7) {
+        paper_delegates.observe_crash(crashed);
+    }
+    paper_delegates.round_elapsed();
+    let mut group = c.benchmark_group("membership");
+    group.sample_size(10);
+    group.bench_function("delegate_round_n10648", |b| {
+        b.iter(|| {
+            paper_delegates.round_elapsed();
+            paper_delegates.estimated_size()
+        })
+    });
+    group.finish();
 
     // Sparse group construction at the million-process scale (a = 32,
     // d = 4): the shared per-(depth, prefix) view tables — 33 825 views

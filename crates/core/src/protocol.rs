@@ -350,17 +350,23 @@ impl PmcastProcess {
         // the hierarchical `DelegateView` the answer comes straight from the
         // depth-`depth` delegate slots, so pmcast's tree delegates are
         // exactly the processes the maintained hierarchy seats.  Computed
-        // once per depth and re-shuffled per entry.
+        // once per depth, in one provider call, and re-shuffled per entry.
         scratch.candidates.clear();
         if self.membership.is_global() {
             scratch
                 .candidates
                 .extend((0..view.len()).filter(|&i| view[i].id != own_id));
         } else {
-            scratch.candidates.extend((0..view.len()).filter(|&i| {
-                view[i].id != own_id
-                    && self.membership.knows_at_depth(own_id.0, depth, view[i].id.0)
-            }));
+            self.membership.filter_known_at_depth(
+                own_id.0,
+                depth,
+                &mut view
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, entry)| entry.id != own_id)
+                    .map(|(position, entry)| (position, entry.id.0)),
+                &mut scratch.candidates,
+            );
         }
 
         let routing = self.config.interest_routing;

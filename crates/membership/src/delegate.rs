@@ -72,7 +72,40 @@
 //! plus the pinned contact, while
 //! [`knows_at_depth`](MembershipView::knows_at_depth) — the query the
 //! pmcast fanout draw asks — resolves in `O(slots)` straight from the slot
-//! group of the queried depth.
+//! group of the queried depth, and
+//! [`filter_known_at_depth`](MembershipView::filter_known_at_depth) answers
+//! a whole depth's candidate list under one read lock.
+//!
+//! ## Settled tables
+//!
+//! Once gossip has converged, almost every digest entry lands in a table
+//! that already holds it or holds only smaller members, so a round's
+//! admissions are overwhelmingly no-ops.  Each table therefore carries a
+//! *settled* mark meaning "equal to the fixed point": every slot group
+//! holds the smallest live members of its subgroup, exactly the seats
+//! [`LazyDelegateView`](crate::LazyDelegateView) computes.  Admitting a
+//! live peer into a settled table cannot change it — admission compares
+//! addresses only, and the peer is either seated already or larger than
+//! every entry of a full group — so the admission returns before touching
+//! the table.
+//!
+//! * Bootstrap seats the fixed point by construction, so every occupied
+//!   process starts settled.
+//! * A table that changes (an admission, a stale-entry eviction, the crash
+//!   sweep's evict and re-elect, a leave) loses the mark and is queued; at
+//!   the end of each membership round the queued tables are re-verified
+//!   against the fixed point.  A join unmarks the tables the joiner can be
+//!   seated in: those under its shortest prefix at whose next depth it
+//!   ranks among the smallest live members.  A round thus costs its gossip
+//!   draws plus the tables that actually change, not `O(n)` full
+//!   admissions.
+//! * The fast path is **stream-neutral**: skipping a provably no-op
+//!   admission draws nothing.  Admission never consumes randomness, and the
+//!   gossip picks and digest samples are drawn in the same order either
+//!   way, so the provider's ChaCha8 stream, every table and every flat
+//!   enumeration stay bit-identical to admitting everything — the same
+//!   argument that makes skipping a quiescent process in the engine's
+//!   active set safe.
 
 use std::sync::RwLock;
 
@@ -145,31 +178,55 @@ impl DelegateViewConfig {
 ///
 /// Dense identifiers enumerate addresses in lexicographic order, so index
 /// `i`'s address components are simply its base-`arity` digits, most
-/// significant first — every tree coordinate a view table needs is computed,
-/// never stored.  Shared with the lazy provider (`crate::lazy`), which
-/// computes seat answers from exactly this arithmetic instead of storing
-/// tables.
+/// significant first.  They are precomputed once into an `n × depth` byte
+/// table (≈32 KB at n = 10 648, ≈4 MB at 32⁴), so every tree coordinate a
+/// view table needs is a lookup or a multiply-add, never a division.
+/// Shared with the lazy provider (`crate::lazy`), which computes seat
+/// answers from exactly this arithmetic instead of storing tables.
 #[derive(Debug, Clone)]
 pub(crate) struct TreeShape {
     pub(crate) arity: usize,
     pub(crate) depth: usize,
     /// `pows[k] = arity^k`, `k ∈ 0..=depth`.
     pows: Vec<usize>,
+    /// `digits[i·depth + k]` is the `k`-th address component of index `i`.
+    digits: Vec<u8>,
     pub(crate) slots: usize,
 }
 
 impl TreeShape {
+    /// # Panics
+    ///
+    /// Panics if `arity` exceeds 256 (components are stored as bytes) or
+    /// the group size overflows `usize`.
     pub(crate) fn new(arity: usize, depth: usize, slots: usize) -> Self {
+        assert!(arity <= 256, "arity must be at most 256");
         let mut pows = Vec::with_capacity(depth + 1);
         let mut p = 1usize;
         for _ in 0..=depth {
             pows.push(p);
             p = p.checked_mul(arity).expect("group size overflows usize");
         }
+        // Count through the indices in base `arity`, least significant
+        // component last, so the table is built without a division.
+        let n = pows[depth];
+        let mut digits = Vec::with_capacity(n * depth);
+        let mut current = vec![0u8; depth];
+        for _ in 0..n {
+            digits.extend_from_slice(&current);
+            for k in (0..depth).rev() {
+                if usize::from(current[k]) + 1 < arity {
+                    current[k] += 1;
+                    break;
+                }
+                current[k] = 0;
+            }
+        }
         Self {
             arity,
             depth,
             pows,
+            digits,
             slots,
         }
     }
@@ -178,17 +235,34 @@ impl TreeShape {
         self.pows[self.depth]
     }
 
+    /// The address components of dense index `i`, most significant first.
+    fn components(&self, i: usize) -> &[u8] {
+        &self.digits[i * self.depth..(i + 1) * self.depth]
+    }
+
     /// The `k`-th address component (0-based, most significant first) of
     /// dense index `i`.
     pub(crate) fn digit(&self, i: usize, k: usize) -> usize {
-        (i / self.pows[self.depth - 1 - k]) % self.arity
+        usize::from(self.digits[i * self.depth + k])
     }
 
     /// Number of leading address components `p` and `q` share.
     pub(crate) fn common_prefix(&self, p: usize, q: usize) -> usize {
-        (0..self.depth)
-            .take_while(|&k| self.digit(p, k) == self.digit(q, k))
+        self.components(p)
+            .iter()
+            .zip(self.components(q))
+            .take_while(|(a, b)| a == b)
             .count()
+    }
+
+    /// First dense index of the subtree under `q`'s length-`len` prefix
+    /// (which spans `arity^(depth − len)` indices).
+    pub(crate) fn prefix_base(&self, q: usize, len: usize) -> usize {
+        self.components(q)[..len]
+            .iter()
+            .zip(self.pows[self.depth - len..self.depth].iter().rev())
+            .map(|(&component, &weight)| usize::from(component) * weight)
+            .sum()
     }
 
     /// Total slots in one process's table: `(d−1)·a·slots` inner entries
@@ -212,8 +286,7 @@ impl TreeShape {
     /// First dense index of the depth-`l` sibling subgroup `g` of process
     /// `q` (the subgroup `q.prefix(l−1) · g`).
     pub(crate) fn subgroup_base(&self, q: usize, l: usize, g: usize) -> usize {
-        let span = self.pows[self.depth - l + 1];
-        (q / span) * span + g * self.pows[self.depth - l]
+        self.prefix_base(q, l - 1) + g * self.pows[self.depth - l]
     }
 
     /// Number of processes in any depth-`l` subgroup.
@@ -222,9 +295,24 @@ impl TreeShape {
     }
 }
 
+/// Where a process's slot table stands against the fixed point gossip
+/// converges to: every group holding the smallest live members of its
+/// subgroup (the seats [`LazyDelegateView`](crate::LazyDelegateView)
+/// computes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seal {
+    /// Verified equal to the fixed point: admitting a live peer is a no-op.
+    Settled,
+    /// Changed since the last verification; queued on `DelegateState::dirty`.
+    Dirty,
+    /// Not at the fixed point (or absent): admissions take the full path
+    /// until the next change queues the table again.
+    Open,
+}
+
 /// Mutable provider state behind one lock: the per-process slot tables, the
-/// flat (deduplicated) peer enumerations, pinned contacts, liveness and the
-/// provider-private PRNG stream.
+/// flat (deduplicated) peer enumerations, pinned contacts, liveness, the
+/// settled-table bookkeeping and the provider-private PRNG stream.
 #[derive(Debug)]
 struct DelegateState {
     shape: TreeShape,
@@ -244,6 +332,11 @@ struct DelegateState {
     /// Crashes observed since the last membership round, awaiting the
     /// monitored-delegate sweep.
     pending_dead: Vec<u32>,
+    /// `seal[q]` says whether `tables[q]` is known to sit at the fixed point.
+    seal: Vec<Seal>,
+    /// Tables changed since the last membership round, each listed once
+    /// (`seal[q] == Seal::Dirty`); re-verified at the end of the next round.
+    dirty: Vec<u32>,
     rng: ChaCha8Rng,
 }
 
@@ -254,6 +347,19 @@ impl DelegateState {
         (1..n).map(|offset| (of + offset) % n).find(|&i| self.alive[i])
     }
 
+    /// Returns `true` if `peer` sits in `of`'s depth-`depth` slot group (the
+    /// answer to [`MembershipView::knows_at_depth`]).
+    fn seated_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool {
+        if of == peer || depth == 0 || depth > self.shape.depth {
+            return false;
+        }
+        if self.shape.common_prefix(of, peer) + 1 < depth {
+            return false; // not under the shared prefix of this view depth
+        }
+        let g = self.shape.digit(peer, depth - 1);
+        self.tables[of][self.shape.group_range(depth, g)].contains(&(peer as u32))
+    }
+
     /// Returns `true` if `peer` occupies any slot of `q`'s table.
     fn table_contains(&self, q: usize, peer: usize) -> bool {
         let cp = self.shape.common_prefix(q, peer);
@@ -262,6 +368,71 @@ impl DelegateState {
             let g = self.shape.digit(peer, l - 1);
             self.tables[q][self.shape.group_range(l, g)].contains(&(peer as u32))
         })
+    }
+
+    /// Records that `tables[q]` changed: it loses its settled status and is
+    /// queued for re-verification.
+    fn touch(&mut self, q: usize) {
+        if self.seal[q] != Seal::Dirty {
+            self.seal[q] = Seal::Dirty;
+            self.dirty.push(q as u32);
+        }
+    }
+
+    /// Returns `true` if every slot group of `q`'s table holds exactly the
+    /// smallest live members of its subgroup (`q` itself excluded), padded
+    /// with [`EMPTY`] when the subgroup has fewer live members than slots.
+    fn at_fixed_point(&self, q: usize) -> bool {
+        let shape = &self.shape;
+        (1..=shape.depth).all(|l| {
+            (0..shape.arity).all(|g| {
+                let base = shape.subgroup_base(q, l, g);
+                let mut seats = (base..base + shape.subgroup_size(l))
+                    .filter(|&m| m != q && self.alive[m])
+                    .map(|m| m as u32)
+                    .chain(std::iter::repeat(EMPTY));
+                self.tables[q][shape.group_range(l, g)]
+                    .iter()
+                    .all(|&slot| seats.next() == Some(slot))
+            })
+        })
+    }
+
+    /// Re-verifies every table changed since the last call: live tables at
+    /// the fixed point become settled, the rest stay open.
+    fn settle_dirty(&mut self) {
+        for k in 0..self.dirty.len() {
+            let q = self.dirty[k] as usize;
+            self.seal[q] = if self.alive[q] && self.at_fixed_point(q) {
+                Seal::Settled
+            } else {
+                Seal::Open
+            };
+        }
+        self.dirty.clear();
+    }
+
+    /// Queues every table whose fixed point changes now that `joiner` is
+    /// live: those of the processes under `joiner`'s shortest prefix at
+    /// whose next depth it ranks among the smallest live members.  A
+    /// process sharing exactly `c` components with the joiner could seat
+    /// it only in its depth-`(c+1)` group, the subgroup `joiner.prefix(c+1)`;
+    /// the rank is monotone in `c`, and at the leaf depth (`c = d − 1`) the
+    /// joiner is always seated.
+    fn unsettle_for_join(&mut self, joiner: usize) {
+        let depth = self.shape.depth;
+        let shared = (0..depth)
+            .find(|&c| {
+                let capacity = if c + 1 == depth { 1 } else { self.shape.slots };
+                let base = self.shape.prefix_base(joiner, c + 1);
+                let smaller_live = (base..joiner).filter(|&m| self.alive[m]).take(capacity);
+                smaller_live.count() < capacity
+            })
+            .expect("the leaf depth always seats the joiner");
+        let base = self.shape.prefix_base(joiner, shared);
+        for q in base..base + self.shape.subgroup_size(shared) {
+            self.touch(q);
+        }
     }
 
     /// Drops `peer` from `q`'s flat enumeration unless a slot or the pinned
@@ -297,6 +468,7 @@ impl DelegateState {
         let pos = group.partition_point(|&e| e < peer);
         group[pos..].rotate_right(1);
         group[pos] = peer;
+        self.touch(q);
         if evicted != EMPTY {
             self.maybe_drop_from_flat(q, evicted as usize);
         }
@@ -305,8 +477,15 @@ impl DelegateState {
 
     /// Admits `peer` into `q`'s view: every slot group it qualifies for
     /// (depths `1..=cp+1`), plus the flat enumeration if any slot took it.
+    ///
+    /// `peer` must be live.  A settled table returns at once: it holds the
+    /// smallest members of every subgroup out of a live set that includes
+    /// `peer` (changes to that set re-queue the tables they affect), and
+    /// admission compares addresses only, so the full path would find every
+    /// group already holding `peer` or full of smaller entries.
     fn admit_peer(&mut self, q: usize, peer: usize) {
-        if q == peer {
+        debug_assert!(self.alive[peer], "only live peers are admitted");
+        if q == peer || self.seal[q] == Seal::Settled {
             return;
         }
         let cp = self.shape.common_prefix(q, peer);
@@ -337,6 +516,7 @@ impl DelegateState {
             group[pos..].rotate_left(1);
             let last = group.len() - 1;
             group[last] = EMPTY;
+            self.touch(q);
             if l == self.shape.depth {
                 continue; // leaf slots name one fixed process; nothing to re-elect
             }
@@ -442,7 +622,8 @@ impl DelegateView {
     ///
     /// # Panics
     ///
-    /// Panics if `arity`, `depth`, `slots` or `gossip_fanout` is zero.
+    /// Panics if `arity`, `depth`, `slots` or `gossip_fanout` is zero, or
+    /// if `arity` exceeds 256.
     pub fn bootstrap(arity: u32, depth: usize, config: DelegateViewConfig, seed: u64) -> Self {
         let n = TreeShape::new(arity as usize, depth, config.slots).member_count();
         Self::bootstrap_sparse(arity, depth, config, seed, &vec![true; n])
@@ -467,8 +648,8 @@ impl DelegateView {
     ///
     /// # Panics
     ///
-    /// Panics if `arity`, `depth`, `slots` or `gossip_fanout` is zero, or
-    /// if `occupied.len() != arity^depth`.
+    /// Panics if `arity`, `depth`, `slots` or `gossip_fanout` is zero, if
+    /// `arity` exceeds 256, or if `occupied.len() != arity^depth`.
     pub fn bootstrap_sparse(
         arity: u32,
         depth: usize,
@@ -492,10 +673,12 @@ impl DelegateView {
             let mut table = vec![EMPTY; shape.table_len()];
             let mut known: Vec<u32> = Vec::new();
             if occupied[q] {
+                known.reserve_exact(shape.table_len() + 1);
                 for l in 1..=depth {
+                    let size = shape.subgroup_size(l);
+                    let first = shape.subgroup_base(q, l, 0);
                     for g in 0..shape.arity {
-                        let base = shape.subgroup_base(q, l, g);
-                        let size = shape.subgroup_size(l);
+                        let base = first + g * size;
                         let range = shape.group_range(l, g);
                         let mut slot = range.start;
                         for (member, discovered) in
@@ -537,6 +720,12 @@ impl DelegateView {
                 alive: occupied.to_vec(),
                 live,
                 pending_dead: Vec::new(),
+                // The join handoff seats the fixed point by construction.
+                seal: occupied
+                    .iter()
+                    .map(|&o| if o { Seal::Settled } else { Seal::Open })
+                    .collect(),
+                dirty: Vec::new(),
                 rng: ChaCha8Rng::seed_from_u64(seed),
             }),
             interest: RwLock::new(None),
@@ -586,18 +775,26 @@ impl MembershipView for DelegateView {
     }
 
     fn knows_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool {
-        if of == peer {
-            return false;
-        }
+        self.state
+            .read()
+            .expect("delegate view lock poisoned")
+            .seated_at_depth(of, depth, peer)
+    }
+
+    /// One read lock for the whole filter, not one per pair.
+    fn filter_known_at_depth(
+        &self,
+        of: usize,
+        depth: usize,
+        pairs: &mut dyn Iterator<Item = (usize, usize)>,
+        out: &mut Vec<usize>,
+    ) {
         let state = self.state.read().expect("delegate view lock poisoned");
-        if depth > state.shape.depth || depth == 0 {
-            return false;
-        }
-        if state.shape.common_prefix(of, peer) + 1 < depth {
-            return false; // not under the shared prefix of this view depth
-        }
-        let g = state.shape.digit(peer, depth - 1);
-        state.tables[of][state.shape.group_range(depth, g)].contains(&(peer as u32))
+        out.extend(
+            pairs
+                .filter(|&(_, peer)| state.seated_at_depth(of, depth, peer))
+                .map(|(position, _)| position),
+        );
     }
 
     /// Attaches the aggregated-interest tables the slot groups carry:
@@ -638,7 +835,9 @@ impl MembershipView for DelegateView {
     /// observed since the last round are evicted from every table, with
     /// immediate re-election from known candidates), then every live
     /// process pushes its subscription plus a random view digest to
-    /// `gossip_fanout` known peers.
+    /// `gossip_fanout` known peers.  Finally the tables changed since the
+    /// last round are re-verified against the fixed point, so settled
+    /// tables skip the admissions of the next round.
     fn round_elapsed(&self) {
         let mut swept: Vec<u32> = Vec::new();
         let state = &mut *self.state.write().expect("delegate view lock poisoned");
@@ -679,6 +878,7 @@ impl MembershipView for DelegateView {
                 }
             }
         }
+        state.settle_dirty();
         // The same sweep retracts the swept processes' interests from the
         // summary tables (the digest that evicts a delegate also carries
         // the shrunk subtree summary).
@@ -715,6 +915,9 @@ impl MembershipView for DelegateView {
         // A crash-then-rejoin must not leave the process queued for the
         // monitored sweep: it is live again, so nothing to evict.
         state.pending_dead.retain(|&x| x as usize != process);
+        // The joiner's own table and every table it can now be seated in
+        // leave the settled fast path before anything is admitted.
+        state.unsettle_for_join(process);
         // The joiner re-subscribes through its ring successor; its live
         // ring predecessor re-pins onto it.  Slot tables refill by gossip
         // (the join handoff, replayed incrementally).
@@ -741,6 +944,7 @@ impl MembershipView for DelegateView {
         for slot in state.tables[process].iter_mut() {
             *slot = EMPTY;
         }
+        state.touch(process);
         state.flat[process].clear();
         // The eager unsub also retracts the leaver's interests.
         if let Some(annex) = self
@@ -768,6 +972,7 @@ impl MembershipView for DelegateView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LazyDelegateView;
     use std::collections::VecDeque;
 
     /// Number of live processes reachable from `start` over live-to-live
@@ -1092,6 +1297,148 @@ mod tests {
         let view = DelegateView::bootstrap(2, 2, DelegateViewConfig::default(), 5);
         let space = AddressSpace::regular(2, 3).unwrap();
         view.attach_interest_summaries(SubtreeSummaries::build(space, vec![None; 9]));
+    }
+
+    /// Checks every settled live table against the lazy provider's seats
+    /// under the same liveness; returns how many tables were checked.
+    fn assert_settled_tables_match(view: &DelegateView, lazy: &LazyDelegateView) -> usize {
+        let state = view.state.read().expect("delegate view lock poisoned");
+        let shape = &state.shape;
+        assert_eq!(state.live, lazy.estimated_size(), "same liveness");
+        let mut checked = 0;
+        for q in 0..shape.member_count() {
+            if !state.alive[q] || state.seal[q] != Seal::Settled {
+                continue;
+            }
+            for l in 1..=shape.depth {
+                for g in 0..shape.arity {
+                    let base = shape.subgroup_base(q, l, g);
+                    let seats: Vec<u32> = (base..base + shape.subgroup_size(l))
+                        .filter(|&m| lazy.knows_at_depth(q, l, m))
+                        .map(|m| m as u32)
+                        .collect();
+                    let group: Vec<u32> = state.tables[q][shape.group_range(l, g)]
+                        .iter()
+                        .copied()
+                        .filter(|&e| e != EMPTY)
+                        .collect();
+                    assert_eq!(group, seats, "settled table {q}, depth {l}, group {g}");
+                }
+            }
+            checked += 1;
+        }
+        checked
+    }
+
+    proptest::proptest! {
+        /// The settled fast path's invariant: after every membership
+        /// round, a settled live table is exactly the fixed point — the
+        /// seats the lazy provider computes under the same liveness — over
+        /// sparse bootstraps and random join / leave / crash schedules.
+        #[test]
+        fn settled_tables_are_the_lazy_fixed_point(
+            shape in proptest::prop_oneof![
+                proptest::prelude::Just((4u32, 3usize)),
+                proptest::prelude::Just((5u32, 2usize)),
+            ],
+            slots in 1usize..4,
+            seed in 0u64..1000,
+            occupancy in proptest::collection::vec(0usize..4, 64),
+            ops in proptest::collection::vec((0u8..4, 0usize..64), 1..80),
+        ) {
+            let (arity, depth) = shape;
+            let n = (arity as usize).pow(depth as u32);
+            // Three in four addresses start occupied.
+            let occupied: Vec<bool> = occupancy[..n].iter().map(|&o| o != 0).collect();
+            let config = DelegateViewConfig::default().with_slots(slots);
+            let view = DelegateView::bootstrap_sparse(arity, depth, config, seed, &occupied);
+            let lazy = LazyDelegateView::new(arity, depth, slots, Some(&occupied));
+            let mut checked = assert_settled_tables_match(&view, &lazy);
+            for (kind, process) in ops {
+                let process = process % n;
+                let both: [&dyn MembershipView; 2] = [&view, &lazy];
+                match kind {
+                    0 => both.iter().for_each(|v| v.observe_join(process)),
+                    1 => both.iter().for_each(|v| v.observe_leave(process)),
+                    2 => both.iter().for_each(|v| v.observe_crash(process)),
+                    _ => {
+                        view.round_elapsed();
+                        checked += assert_settled_tables_match(&view, &lazy);
+                    }
+                }
+            }
+            for _ in 0..3 {
+                view.round_elapsed();
+                checked += assert_settled_tables_match(&view, &lazy);
+            }
+            proptest::prop_assert!(checked > 0, "some settled table was checked");
+        }
+    }
+
+    #[test]
+    fn admitting_live_peers_into_a_settled_table_changes_nothing() {
+        let view = DelegateView::bootstrap(4, 3, DelegateViewConfig::default().with_slots(2), 31);
+        for (round, process) in [(0, 5), (1, 17), (2, 40), (3, 63)] {
+            match round % 3 {
+                0 => view.observe_crash(process),
+                1 => view.observe_leave(process),
+                _ => view.observe_join(process),
+            }
+            view.round_elapsed();
+        }
+        view.observe_join(5);
+        for _ in 0..10 {
+            view.round_elapsed();
+        }
+        let state = &mut *view.state.write().expect("delegate view lock poisoned");
+        let live: Vec<usize> = (0..64).filter(|&p| state.alive[p]).collect();
+        let mut settled = 0;
+        for &q in &live {
+            if state.seal[q] != Seal::Settled {
+                continue;
+            }
+            settled += 1;
+            let (table, flat) = (state.tables[q].clone(), state.flat[q].clone());
+            // Force the full admission path: the fast path must only ever
+            // skip work that would have been a no-op.
+            state.seal[q] = Seal::Open;
+            for &peer in &live {
+                state.admit_peer(q, peer);
+            }
+            assert_eq!(state.tables[q], table, "table of {q}");
+            assert_eq!(state.flat[q], flat, "flat view of {q}");
+            assert!(state.dirty.is_empty(), "no table was touched");
+            state.seal[q] = Seal::Settled;
+        }
+        assert!(
+            settled > live.len() / 2,
+            "most tables settle: {settled}/{}",
+            live.len()
+        );
+    }
+
+    #[test]
+    fn digit_table_matches_division_arithmetic() {
+        let shape = TreeShape::new(5, 3, 2);
+        for i in 0..125 {
+            for k in 0..3 {
+                assert_eq!(shape.digit(i, k), (i / 5usize.pow(2 - k as u32)) % 5);
+            }
+            for len in 0..=3 {
+                let span = 5usize.pow(3 - len as u32);
+                assert_eq!(shape.prefix_base(i, len), i / span * span);
+            }
+        }
+        assert_eq!(shape.common_prefix(31, 33), 2);
+        assert_eq!(shape.common_prefix(31, 36), 1);
+        assert_eq!(shape.common_prefix(31, 124), 0);
+        assert_eq!(shape.common_prefix(7, 7), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity must be at most 256")]
+    fn arity_beyond_a_byte_is_rejected() {
+        let _ = TreeShape::new(257, 1, 1);
     }
 
     #[test]

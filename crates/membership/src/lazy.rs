@@ -4,12 +4,14 @@
 //! table up front — `O(n·a·d·slots)` memory and build time, which is what
 //! keeps the delegate column of `scale_sweep` off the million-process row.
 //! [`LazyDelegateView`] answers the *same* seat questions without building
-//! anything: the converged delegate table is a pure function of the tree
+//! any table: the converged delegate table is a pure function of the tree
 //! shape and the alive set (each slot group holds the smallest alive members
 //! of its subgroup, the deterministic smallest-address election of
 //! Section 2), so `knows_at_depth` can simply *count* alive predecessors
-//! inside the subgroup — two binary searches over a sorted alive list —
-//! and `peer_at` can enumerate a single process's seats on demand.
+//! inside the subgroup — a binary search over a sorted alive list —
+//! and `peer_at` can enumerate a single process's seats on demand.  A whole
+//! depth's candidate filter (`filter_known_at_depth`) runs under one read
+//! lock.
 //!
 //! The provider models the idealized instantly-converged hierarchy:
 //! lifecycle observations re-elect immediately, `round_elapsed` is a no-op,
@@ -37,15 +39,16 @@ struct LazyState {
 }
 
 impl LazyState {
-    /// Number of alive processes in `[base, end)`, excluding `of`.
-    fn alive_before(&self, base: usize, end: usize, of: usize) -> usize {
+    /// Returns `true` if fewer than `capacity` alive processes other than
+    /// `of` lie in `[base, peer)`, for an alive `peer ≥ base`: one binary
+    /// search, then a scan of at most `capacity + 1` sorted entries.
+    fn ranks_below(&self, base: usize, peer: usize, of: usize, capacity: usize) -> bool {
         let lo = self.sorted.partition_point(|&x| (x as usize) < base);
-        let hi = self.sorted.partition_point(|&x| (x as usize) < end);
-        let mut count = hi - lo;
-        if base <= of && of < end && self.alive[of] {
-            count -= 1;
-        }
-        count
+        self.sorted[lo..]
+            .iter()
+            .filter(|&&m| m as usize != of)
+            .take(capacity)
+            .any(|&m| m as usize == peer)
     }
 
     /// The first `capacity` alive members of `[base, base + size)` excluding
@@ -73,7 +76,8 @@ impl LazyState {
 }
 
 /// A delegate-tree membership provider whose tables are computed, never
-/// stored: `O(live)` memory regardless of `n`, constant-time bootstrap.
+/// stored: `O(n)` memory (alive flags plus the shared byte-per-component
+/// digit table), `O(n·d)` bootstrap, no slot tables at any `n`.
 ///
 /// Semantically this is the fixed point the gossiping
 /// [`DelegateView`](crate::DelegateView) converges to — suitable for the
@@ -95,8 +99,9 @@ impl LazyDelegateView {
     ///
     /// # Panics
     ///
-    /// Panics if `arity`, `depth` or `slots` is zero, or if an occupancy
-    /// slice does not cover all `arity^depth` addresses.
+    /// Panics if `arity`, `depth` or `slots` is zero, if `arity` exceeds
+    /// 256, or if an occupancy slice does not cover all `arity^depth`
+    /// addresses.
     pub fn new(arity: u32, depth: usize, slots: usize, occupied: Option<&[bool]>) -> Self {
         assert!(arity > 0, "arity must be positive");
         assert!(depth > 0, "depth must be positive");
@@ -130,6 +135,24 @@ impl LazyDelegateView {
         } else {
             self.shape.slots
         }
+    }
+
+    /// `peer` is seated in `of`'s depth-`l` slot group iff fewer than the
+    /// group's capacity of alive subgroup members precede it — a rank
+    /// query, answered with one binary search.
+    fn seated_at_depth(&self, state: &LazyState, of: usize, depth: usize, peer: usize) -> bool {
+        if of == peer || depth == 0 || depth > self.shape.depth {
+            return false;
+        }
+        if self.shape.common_prefix(of, peer) + 1 < depth {
+            return false; // not under the shared prefix of this view depth
+        }
+        if !state.alive[of] || !state.alive[peer] {
+            return false;
+        }
+        let g = self.shape.digit(peer, depth - 1);
+        let base = self.shape.subgroup_base(of, depth, g);
+        state.ranks_below(base, peer, of, self.group_capacity(depth))
     }
 
     /// Enumerates `of`'s flat peer set in the dense provider's discovery
@@ -195,23 +218,25 @@ impl MembershipView for LazyDelegateView {
         (1..=self.shape.depth).any(|l| self.knows_at_depth(of, l, peer))
     }
 
-    /// `peer` is seated in `of`'s depth-`l` slot group iff fewer than the
-    /// group's capacity of alive subgroup members precede it — a rank
-    /// query, answered with two binary searches.
     fn knows_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool {
-        if of == peer || depth == 0 || depth > self.shape.depth {
-            return false;
-        }
-        if self.shape.common_prefix(of, peer) + 1 < depth {
-            return false; // not under the shared prefix of this view depth
-        }
         let state = self.state.read().expect("lazy delegate lock poisoned");
-        if !state.alive[of] || !state.alive[peer] {
-            return false;
-        }
-        let g = self.shape.digit(peer, depth - 1);
-        let base = self.shape.subgroup_base(of, depth, g);
-        state.alive_before(base, peer, of) < self.group_capacity(depth)
+        self.seated_at_depth(&state, of, depth, peer)
+    }
+
+    /// One read lock for the whole filter, not one per pair.
+    fn filter_known_at_depth(
+        &self,
+        of: usize,
+        depth: usize,
+        pairs: &mut dyn Iterator<Item = (usize, usize)>,
+        out: &mut Vec<usize>,
+    ) {
+        let state = self.state.read().expect("lazy delegate lock poisoned");
+        out.extend(
+            pairs
+                .filter(|&(_, peer)| self.seated_at_depth(&state, of, depth, peer))
+                .map(|(position, _)| position),
+        );
     }
 
     /// No gossip dynamics to advance: the view is always converged.

@@ -107,6 +107,29 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
         self.knows(of, peer)
     }
 
+    /// Appends to `out` the position of every `(position, peer)` pair for
+    /// which [`knows_at_depth(of, depth, peer)`](Self::knows_at_depth)
+    /// holds, in input order — the pmcast candidate filter for one depth,
+    /// asked once per depth and round.
+    ///
+    /// The default asks `knows_at_depth` once per pair, so a wrapper that
+    /// does not override this method still sees every query.  Providers
+    /// behind a lock override it to take the lock once per call instead of
+    /// once per pair; the answer must stay exactly the per-pair filter.
+    fn filter_known_at_depth(
+        &self,
+        of: usize,
+        depth: usize,
+        pairs: &mut dyn Iterator<Item = (usize, usize)>,
+        out: &mut Vec<usize>,
+    ) {
+        out.extend(
+            pairs
+                .filter(|&(_, peer)| self.knows_at_depth(of, depth, peer))
+                .map(|(position, _)| position),
+        );
+    }
+
     /// Returns `true` if every process knows the whole group.  Protocols
     /// whose candidate sets are already subsets of the group (the genuine
     /// baseline's audiences) use this to skip materializing filtered
@@ -393,6 +416,24 @@ impl MembershipView for PartialView {
     fn knows(&self, of: usize, peer: usize) -> bool {
         self.state.read().expect("partial view lock poisoned").views[of]
             .contains(&(peer as u32))
+    }
+
+    /// The flat view ignores the depth: one read lock, then a view scan
+    /// per pair.
+    fn filter_known_at_depth(
+        &self,
+        of: usize,
+        _depth: usize,
+        pairs: &mut dyn Iterator<Item = (usize, usize)>,
+        out: &mut Vec<usize>,
+    ) {
+        let state = self.state.read().expect("partial view lock poisoned");
+        let view = &state.views[of];
+        out.extend(
+            pairs
+                .filter(|&(_, peer)| view.contains(&(peer as u32)))
+                .map(|(position, _)| position),
+        );
     }
 
     /// One membership gossip round: every live process first checks its
@@ -716,6 +757,90 @@ mod tests {
             };
             assert_eq!(peers(&full), peers(&sparse_full));
         }
+    }
+
+    /// The per-pair filter the batched call must reproduce.
+    fn per_pair(view: &dyn MembershipView, of: usize, depth: usize, peers: &[usize]) -> Vec<usize> {
+        (0..peers.len())
+            .filter(|&k| view.knows_at_depth(of, depth, peers[k]))
+            .collect()
+    }
+
+    fn batched(view: &dyn MembershipView, of: usize, depth: usize, peers: &[usize]) -> Vec<usize> {
+        let mut out = vec![usize::MAX]; // appended to, never cleared
+        view.filter_known_at_depth(of, depth, &mut peers.iter().copied().enumerate(), &mut out);
+        assert_eq!(out.remove(0), usize::MAX);
+        out
+    }
+
+    #[test]
+    fn batched_filter_matches_the_per_pair_filter_under_churn() {
+        use crate::{DelegateView, DelegateViewConfig, LazyDelegateView};
+        // A 3-ary depth-3 tree (n = 27); peers are listed in a scrambled
+        // order with repeats so the positions, not the ids, are checked.
+        let n = 27;
+        let peers: Vec<usize> = (0..2 * n).map(|k| (k * 7 + 3) % n).collect();
+        let partial = PartialView::bootstrap(n, PartialViewConfig::default(), 4);
+        let config = DelegateViewConfig::default().with_slots(2);
+        let delegate = DelegateView::bootstrap(3, 3, config, 4);
+        let lazy = LazyDelegateView::new(3, 3, 2, None);
+        let views: Vec<(&str, Box<dyn MembershipView>)> = vec![
+            ("global", Box::new(GlobalOracleView::new(n))),
+            ("partial", Box::new(partial)),
+            ("delegate", Box::new(delegate)),
+            ("delegate-lazy", Box::new(lazy)),
+        ];
+        for (name, view) in &views {
+            for round in 0..12usize {
+                match round % 4 {
+                    1 => view.observe_crash((round * 5) % n),
+                    2 => view.observe_leave((round * 11 + 1) % n),
+                    3 => view.observe_join((round * 5) % n),
+                    _ => {}
+                }
+                view.round_elapsed();
+                for of in 0..n {
+                    for depth in 0..=4 {
+                        assert_eq!(
+                            batched(view.as_ref(), of, depth, &peers),
+                            per_pair(view.as_ref(), of, depth, &peers),
+                            "{name}: round {round}, of {of}, depth {depth}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_batched_filter_asks_knows_at_depth_once_per_pair() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Knows every even peer and counts the per-pair queries.
+        #[derive(Debug, Default)]
+        struct Counting(AtomicUsize);
+        impl MembershipView for Counting {
+            fn estimated_size(&self) -> usize {
+                8
+            }
+            fn peer_count(&self, _of: usize) -> usize {
+                0
+            }
+            fn peer_at(&self, _of: usize, _k: usize) -> usize {
+                unreachable!("no peers enumerated")
+            }
+            fn knows(&self, _of: usize, _peer: usize) -> bool {
+                unreachable!("the filter asks knows_at_depth")
+            }
+            fn knows_at_depth(&self, _of: usize, _depth: usize, peer: usize) -> bool {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                peer.is_multiple_of(2)
+            }
+        }
+        let view = Counting::default();
+        let peers = [4, 1, 6, 7, 2];
+        assert_eq!(batched(&view, 0, 1, &peers), vec![0, 2, 4]);
+        assert_eq!(view.0.load(Ordering::Relaxed), peers.len());
     }
 
     #[test]

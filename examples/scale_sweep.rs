@@ -18,9 +18,10 @@
 //! the analysis predicts instead of the group size.  The delegate column
 //! reaches that row too: the eager provider's bootstrap materializes
 //! per-process view tables (O(n·a·d) entries), so above 100k processes
-//! the sweep switches to the lazy provider, which seats a process's
-//! delegate slots on first contact and therefore only pays for the
-//! processes the dissemination actually touches.
+//! the sweep switches to the lazy provider, which stores no tables: it
+//! computes each seat arithmetically from the tree shape and the sorted
+//! alive set (a rank query per `knows_at_depth`), so its memory is O(n)
+//! alive bookkeeping plus the shared digit table.
 //!
 //! ```text
 //! cargo run --release --example scale_sweep             # 512 and 10 648
@@ -64,10 +65,9 @@ fn main() {
     let json = args.iter().any(|arg| arg == "--json");
 
     // (arity, depth, trials, run the delegate provider too?).  The sizes
-    // grow by ~100× per step; the eager delegate bootstrap is dense (its
-    // table construction visits every process per process), so past 100k
-    // processes the delegate column switches to the lazy first-contact
-    // provider below.
+    // grow by ~100× per step; the eager delegate bootstrap is dense (one
+    // slot table per process, O(n·a·d) entries), so past 100k processes
+    // the delegate column switches to the table-free lazy provider below.
     let mut sizes: Vec<(u32, usize, usize, bool)> = vec![(8, 3, 3, true)];
     if !quick {
         sizes.push((22, 3, 3, true));
@@ -92,8 +92,8 @@ fn main() {
         let mut providers: Vec<(&str, MembershipSpec)> = vec![("global", MembershipSpec::Global)];
         if with_delegate {
             // The eager bootstrap is O(n·a·d) in time and memory; the lazy
-            // provider seats slots on first contact, so the million-process
-            // row only builds tables for the processes gossip reaches.
+            // provider computes seats arithmetically instead of storing
+            // tables, so the million-process row builds none at all.
             providers.push(if n > 100_000 {
                 ("delegate-lazy", MembershipSpec::delegate_lazy(3))
             } else {
@@ -146,7 +146,7 @@ fn main() {
              quiescence is O(1), and delivery tracking is delta-driven, so a million-process \
              trial stays in single-digit seconds on one core.  delegate = the paper's \
              Section 2 view tables; past 100k processes the column switches to the lazy \
-             provider, whose first-contact bootstrap only seats the views gossip touches.)"
+             provider, which computes every seat from the tree shape and the alive set.)"
         );
     }
     if let Some(gate) = gate {
