@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmcast_bench::{bench_profile, publish_rows};
-use pmcast_sim::experiments::baselines;
-use pmcast_sim::runner::{run_trial, ExperimentConfig, Protocol};
+use pmcast_sim::experiments::{baselines, Profile};
+use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
 
 fn bench(c: &mut Criterion) {
     let rows = baselines::run(bench_profile());
@@ -14,6 +14,7 @@ fn bench(c: &mut Criterion) {
         &rows,
     );
 
+    let scenario = Profile::Quick.reliability_base();
     let mut group = c.benchmark_group("baselines");
     group.sample_size(10);
     for (name, kind) in [
@@ -21,15 +22,11 @@ fn bench(c: &mut Criterion) {
         ("flooding", Protocol::FloodBroadcast),
         ("genuine", Protocol::GenuineMulticast),
     ] {
-        let config = ExperimentConfig::quick()
-            .with_matching_rate(0.5)
-            .with_trials(1)
-            .with_protocol_kind(kind);
-        group.bench_with_input(BenchmarkId::new("trial", name), &config, |b, config| {
+        group.bench_with_input(BenchmarkId::new("trial", name), &kind, |b, &kind| {
             let mut trial = 0usize;
             b.iter(|| {
                 trial += 1;
-                run_trial(config, trial)
+                run_scenario_trial_with(&scenario, kind, trial)
             });
         });
     }

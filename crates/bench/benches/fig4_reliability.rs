@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmcast_bench::{bench_profile, publish_rows};
-use pmcast_sim::experiments::reliability;
-use pmcast_sim::runner::{run_trial, ExperimentConfig};
+use pmcast_sim::experiments::{reliability, Profile};
+use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
 
 fn bench(c: &mut Criterion) {
     let rows = reliability::run(bench_profile());
@@ -17,14 +17,14 @@ fn bench(c: &mut Criterion) {
         &rows,
     );
 
-    let config = ExperimentConfig::quick().with_matching_rate(0.5).with_trials(1);
+    let scenario = Profile::Quick.reliability_base();
     let mut group = c.benchmark_group("fig4");
     group.sample_size(10);
     group.bench_function("pmcast_trial_n216_rate05", |b| {
         let mut trial = 0usize;
         b.iter(|| {
             trial += 1;
-            run_trial(&config, trial)
+            run_scenario_trial_with(&scenario, Protocol::Pmcast, trial)
         });
     });
     group.finish();

@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmcast_bench::{bench_profile, publish_rows};
-use pmcast_sim::experiments::spurious;
-use pmcast_sim::runner::{run_trial, ExperimentConfig, Protocol};
+use pmcast_sim::experiments::{spurious, Profile};
+use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
+use pmcast_sim::scenario::Scenario;
 
 fn bench(c: &mut Criterion) {
     let rows = spurious::run(bench_profile());
@@ -14,22 +15,24 @@ fn bench(c: &mut Criterion) {
         &rows,
     );
 
-    let pmcast = ExperimentConfig::quick().with_matching_rate(0.2).with_trials(1);
-    let flooding = pmcast.clone().with_protocol_kind(Protocol::FloodBroadcast);
+    let scenario = Scenario {
+        matching_rate: 0.2,
+        ..Profile::Quick.reliability_base()
+    };
     let mut group = c.benchmark_group("fig5");
     group.sample_size(10);
     group.bench_function("pmcast_trial_rate02", |b| {
         let mut trial = 0usize;
         b.iter(|| {
             trial += 1;
-            run_trial(&pmcast, trial)
+            run_scenario_trial_with(&scenario, Protocol::Pmcast, trial)
         });
     });
     group.bench_function("flooding_trial_rate02", |b| {
         let mut trial = 0usize;
         b.iter(|| {
             trial += 1;
-            run_trial(&flooding, trial)
+            run_scenario_trial_with(&scenario, Protocol::FloodBroadcast, trial)
         });
     });
     group.finish();

@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmcast_bench::{bench_profile, publish_rows};
-use pmcast_sim::experiments::scalability;
-use pmcast_sim::runner::{run_trial, ExperimentConfig};
+use pmcast_sim::experiments::{scalability, Profile};
+use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
 
 fn bench(c: &mut Criterion) {
     let rows = scalability::run(bench_profile());
@@ -17,18 +17,18 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6");
     group.sample_size(10);
     for arity in [4u32, 6, 8] {
-        let config = ExperimentConfig::quick()
-            .with_arity(arity)
-            .with_matching_rate(0.5)
-            .with_protocol(pmcast_core::PmcastConfig::paper_scalability())
-            .with_trials(1);
-        group.bench_with_input(BenchmarkId::new("pmcast_trial", arity), &config, |b, config| {
-            let mut trial = 0usize;
-            b.iter(|| {
-                trial += 1;
-                run_trial(config, trial)
-            });
-        });
+        let scenario = Profile::Quick.scalability_base(arity);
+        group.bench_with_input(
+            BenchmarkId::new("pmcast_trial", arity),
+            &scenario,
+            |b, scenario| {
+                let mut trial = 0usize;
+                b.iter(|| {
+                    trial += 1;
+                    run_scenario_trial_with(scenario, Protocol::Pmcast, trial)
+                });
+            },
+        );
     }
     group.finish();
 }

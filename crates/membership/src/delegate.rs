@@ -1080,6 +1080,16 @@ mod tests {
         assert!(view.knows(15, 0), "crash is not evicted before the sweep");
         view.round_elapsed();
         assert!(!view.knows(15, 0), "sweep evicts the crashed delegate everywhere");
+        for sibling in 1..4 {
+            assert!(
+                !view.knows(sibling, 0),
+                "leaf sibling {sibling} still knows crashed 0"
+            );
+            assert!(
+                !view.knows_at_depth(sibling, 2, 0),
+                "0 still seated at {sibling}'s leaf"
+            );
+        }
         // Re-election promoted an already-known live member of subgroup 0
         // (1 kept its seat; 2 or 3 may join as gossip spreads candidates).
         let seated = view.live_delegates_of(15, 1, 0);

@@ -17,17 +17,13 @@
 //!   fly — what the paper's analysis assumes) and [`GroupTree`] (an explicit
 //!   membership with arbitrary populated addresses and per-process
 //!   subscriptions).
-//! * [`ViewTable`] / [`DepthView`] / [`ViewEntry`] — the per-depth membership
-//!   tables of Figure 2, including regrouped interests and process counts.
-//! * [`DelegatePolicy`] — deterministic delegate election (smallest
-//!   addresses by default, as in the paper).
+//! * [`ViewTable`] / [`DepthTable`] / [`ViewEntry`] — the per-depth membership
+//!   tables of Figure 2, including regrouped interests and process counts,
+//!   with delegates elected by the paper's smallest-address rule.
 //! * [`InterestOracle`] — the interface used by the protocol to decide
 //!   whether a process / subtree is interested in an event, with an exact
 //!   subscription-based implementation and an assignment-based one used by
 //!   the evaluation workloads.
-//! * [`MembershipManager`] + [`ViewExchange`] — loosely coordinated
-//!   membership maintenance: gossip-pull anti-entropy on timestamped view
-//!   lines, joins, leaves and failure detection (Section 2.3).
 //! * [`MembershipView`] — the *provider* boundary the dissemination layer
 //!   draws fanout candidates from, with three implementations: a global one
 //!   ([`GlobalOracleView`], everyone knows everyone — the evaluation
@@ -73,10 +69,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod antientropy;
-mod churn;
 pub mod delegate;
-mod election;
 mod error;
 mod lazy;
 mod oracle;
@@ -88,10 +81,7 @@ mod topology;
 mod tree;
 mod view;
 
-pub use antientropy::{LineKey, ViewDigest, ViewExchange};
-pub use churn::{FailureDetector, MembershipEvent, MembershipManager};
 pub use delegate::{DelegateView, DelegateViewConfig};
-pub use election::{CapacityWeightedPolicy, DelegatePolicy, SmallestAddressPolicy};
 pub use error::MembershipError;
 pub use lazy::LazyDelegateView;
 pub use oracle::{AssignmentOracle, InterestOracle, SubscriptionOracle, UniformOracle};
@@ -101,7 +91,7 @@ pub use population::{LifecycleEvent, LifecycleEventKind, Population, PopulationS
 pub use provider::{GlobalOracleView, MembershipView, PartialView, PartialViewConfig};
 pub use topology::{ImplicitRegularTree, TreeTopology};
 pub use tree::GroupTree;
-pub use view::{DepthView, ViewEntry, ViewTable};
+pub use view::{DepthTable, ViewEntry, ViewTable};
 
 /// Default redundancy factor `R` suggested by the paper (`R > 1`, the
 /// evaluation uses `R = 3` or `R = 4`).

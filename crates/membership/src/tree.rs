@@ -3,9 +3,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use pmcast_addr::{Address, AddressSpace, Component, Prefix};
 use pmcast_interest::{Event, Filter, Interest, InterestSummary};
 
-use crate::{
-    DelegatePolicy, MembershipError, SmallestAddressPolicy, TreeTopology, ViewTable,
-};
+use crate::{MembershipError, TreeTopology, ViewTable};
 
 /// An explicit group membership: the set of populated addresses together
 /// with each process's subscription.
@@ -46,7 +44,6 @@ pub struct GroupTree {
     subtree_counts: BTreeMap<Prefix, usize>,
     /// Populated child components of every populated internal prefix.
     children: BTreeMap<Prefix, BTreeSet<Component>>,
-    policy: Box<dyn DelegatePolicy + Send + Sync>,
 }
 
 impl std::fmt::Debug for GroupTree {
@@ -59,23 +56,13 @@ impl std::fmt::Debug for GroupTree {
 }
 
 impl GroupTree {
-    /// Creates an empty group over the given address space, using the
-    /// paper's smallest-address delegate election.
+    /// Creates an empty group over the given address space.
     pub fn new(space: AddressSpace) -> Self {
-        Self::with_policy(space, SmallestAddressPolicy)
-    }
-
-    /// Creates an empty group with a custom delegate-election policy.
-    pub fn with_policy<P>(space: AddressSpace, policy: P) -> Self
-    where
-        P: DelegatePolicy + Send + Sync + 'static,
-    {
         Self {
             space,
             members: BTreeMap::new(),
             subtree_counts: BTreeMap::new(),
             children: BTreeMap::new(),
-            policy: Box::new(policy),
         }
     }
 
@@ -232,11 +219,6 @@ impl GroupTree {
             })
             .take_while(move |(address, _)| address.has_prefix(&prefix))
     }
-
-    /// Returns the delegate-election policy in use.
-    pub fn policy(&self) -> &(dyn DelegatePolicy + Send + Sync) {
-        self.policy.as_ref()
-    }
 }
 
 /// Smallest possible address under a prefix (used as a range scan lower
@@ -278,12 +260,14 @@ impl TreeTopology for GroupTree {
         self.subtree_counts.get(prefix).copied().unwrap_or(0)
     }
 
+    /// The paper's election rule (Section 2.3): the `r` smallest member
+    /// addresses below the prefix, so every process agrees on the same
+    /// delegates without an agreement protocol.
     fn delegates(&self, prefix: &Prefix, r: usize) -> Vec<Address> {
-        let candidates: Vec<Address> = self
-            .members_range(prefix)
+        self.members_range(prefix)
+            .take(r)
             .map(|(address, _)| address.clone())
-            .collect();
-        self.policy.elect(&candidates, r)
+            .collect()
     }
 
     fn members_under(&self, prefix: &Prefix) -> Vec<Address> {
@@ -459,21 +443,6 @@ mod tests {
             .join("0.0.0".parse().unwrap(), Filter::match_all())
             .unwrap();
         assert!(partial.view_table_for(&"1.1.1".parse().unwrap(), 3).is_err());
-    }
-
-    #[test]
-    fn custom_policy_is_used() {
-        // Prefer the *largest* addresses by scoring them by their index.
-        let policy = crate::CapacityWeightedPolicy::new(|a: &Address| {
-            a.components().iter().map(|&c| c as u64).sum()
-        });
-        let mut tree = GroupTree::with_policy(space(), policy);
-        for raw in ["0.0.0", "0.0.1", "0.3.3"] {
-            tree.join(raw.parse().unwrap(), Filter::match_all()).unwrap();
-        }
-        let delegates = tree.delegates(&Prefix::from_components(vec![0]), 1);
-        assert_eq!(delegates[0].to_string(), "0.3.3");
-        assert!(!format!("{tree:?}").is_empty());
     }
 
     #[test]

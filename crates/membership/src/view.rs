@@ -10,8 +10,7 @@ use crate::{GroupTree, TreeTopology};
 /// One line of a view table (Figure 2): a populated sibling subgroup,
 /// identified by its *infix* (the next address component), with its
 /// regrouped interests, its delegates (or the single neighbour process at
-/// the leaf depth), the total process count below it, and a logical
-/// timestamp used by the gossip-pull anti-entropy.
+/// the leaf depth) and the total process count below it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ViewEntry {
     infix: Component,
@@ -19,7 +18,6 @@ pub struct ViewEntry {
     delegates: Vec<Address>,
     summary: InterestSummary,
     process_count: usize,
-    timestamp: u64,
 }
 
 impl ViewEntry {
@@ -29,7 +27,6 @@ impl ViewEntry {
         delegates: Vec<Address>,
         summary: InterestSummary,
         process_count: usize,
-        timestamp: u64,
     ) -> Self {
         let infix = prefix.last_component().unwrap_or(0);
         Self {
@@ -38,7 +35,6 @@ impl ViewEntry {
             delegates,
             summary,
             process_count,
-            timestamp,
         }
     }
 
@@ -70,42 +66,10 @@ impl ViewEntry {
         self.process_count
     }
 
-    /// The logical timestamp of the last update of this line.
-    pub fn timestamp(&self) -> u64 {
-        self.timestamp
-    }
-
     /// Returns `true` if, according to the regrouped interests, some process
     /// below this subgroup is interested in the event.
     pub fn interested_in(&self, event: &Event) -> bool {
         self.summary.matches(event)
-    }
-
-    /// Replaces the content of the line if `other` carries a strictly newer
-    /// timestamp, returning whether an update happened.  This is the merge
-    /// rule of the gossip-pull anti-entropy (Section 2.3).
-    pub fn merge_newer(&mut self, other: &ViewEntry) -> bool {
-        if other.timestamp > self.timestamp {
-            *self = other.clone();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Refreshes the mutable payload of the line in place, bumping the
-    /// timestamp.
-    pub fn update(
-        &mut self,
-        delegates: Vec<Address>,
-        summary: InterestSummary,
-        process_count: usize,
-        timestamp: u64,
-    ) {
-        self.delegates = delegates;
-        self.summary = summary;
-        self.process_count = process_count;
-        self.timestamp = timestamp;
     }
 }
 
@@ -128,17 +92,17 @@ impl fmt::Display for ViewEntry {
     }
 }
 
-/// The view a process has of one depth of the tree: the populated sibling
-/// subgroups below its own prefix of that depth.
+/// The table a process holds for one depth of the tree: the populated
+/// sibling subgroups below its own prefix of that depth.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DepthView {
+pub struct DepthTable {
     depth: Depth,
     prefix: Prefix,
     entries: Vec<ViewEntry>,
 }
 
-impl DepthView {
-    /// Creates a view of the given depth, under the given (own) prefix.
+impl DepthTable {
+    /// Creates the table of the given depth, under the given (own) prefix.
     pub fn new(depth: Depth, prefix: Prefix, entries: Vec<ViewEntry>) -> Self {
         Self {
             depth,
@@ -147,12 +111,12 @@ impl DepthView {
         }
     }
 
-    /// The depth of this view (1 = root level).
+    /// The depth of this table (1 = root level).
     pub fn depth(&self) -> Depth {
         self.depth
     }
 
-    /// The prefix shared by all subgroups of this view (the owner's prefix
+    /// The prefix shared by all subgroups of this table (the owner's prefix
     /// of this depth).
     pub fn prefix(&self) -> &Prefix {
         &self.prefix
@@ -161,11 +125,6 @@ impl DepthView {
     /// The view lines, ordered by infix.
     pub fn entries(&self) -> &[ViewEntry] {
         &self.entries
-    }
-
-    /// Mutable access to the view lines (used by anti-entropy merges).
-    pub fn entries_mut(&mut self) -> &mut Vec<ViewEntry> {
-        &mut self.entries
     }
 
     /// Returns the line describing the subgroup with the given infix.
@@ -178,12 +137,12 @@ impl DepthView {
         self.entries.len()
     }
 
-    /// Returns `true` if this view has no lines.
+    /// Returns `true` if this table has no lines.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// All processes appearing in this view (delegates of every line).
+    /// All processes appearing in this table (delegates of every line).
     pub fn known_processes(&self) -> Vec<Address> {
         let mut processes: Vec<Address> = self
             .entries
@@ -214,7 +173,7 @@ impl DepthView {
     }
 }
 
-impl fmt::Display for DepthView {
+impl fmt::Display for DepthTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "View of Depth {} (Prefix = {})", self.depth, self.prefix)?;
         for entry in &self.entries {
@@ -224,22 +183,22 @@ impl fmt::Display for DepthView {
     }
 }
 
-/// The complete per-process membership state: one [`DepthView`] per depth,
+/// The complete per-process membership state: one [`DepthTable`] per depth,
 /// from the root (depth 1) down to the process's immediate neighbourhood
 /// (depth `d`), exactly as pictured in Figure 2 of the paper.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ViewTable {
     owner: Address,
-    views: Vec<DepthView>,
+    views: Vec<DepthTable>,
 }
 
 impl ViewTable {
-    /// Creates a view table from its per-depth views.
+    /// Creates a view table from its per-depth tables.
     ///
     /// # Panics
     ///
     /// Panics if `views` is empty or the depths are not `1..=d` in order.
-    pub fn new(owner: Address, views: Vec<DepthView>) -> Self {
+    pub fn new(owner: Address, views: Vec<DepthTable>) -> Self {
         assert!(!views.is_empty(), "a view table has at least one depth");
         for (index, view) in views.iter().enumerate() {
             assert_eq!(view.depth(), index + 1, "views must be ordered by depth");
@@ -266,7 +225,6 @@ impl ViewTable {
                         vec![neighbour.clone()],
                         summary,
                         1,
-                        0,
                     ));
                 }
             } else {
@@ -277,11 +235,10 @@ impl ViewTable {
                         tree.delegates(&child, r),
                         tree.subtree_summary(&child),
                         tree.subtree_size(&child),
-                        0,
                     ));
                 }
             }
-            views.push(DepthView::new(view_depth, parent, entries));
+            views.push(DepthTable::new(view_depth, parent, entries));
         }
         Self {
             owner: owner.clone(),
@@ -299,12 +256,12 @@ impl ViewTable {
         self.views.len()
     }
 
-    /// The view of the given depth (1-based).
+    /// The table of the given depth (1-based).
     ///
     /// # Panics
     ///
     /// Panics if the depth is out of range.
-    pub fn view(&self, depth: Depth) -> &DepthView {
+    pub fn view(&self, depth: Depth) -> &DepthTable {
         assert!(
             depth >= 1 && depth <= self.views.len(),
             "depth {depth} out of range 1..={}",
@@ -313,22 +270,8 @@ impl ViewTable {
         &self.views[depth - 1]
     }
 
-    /// Mutable access to the view of the given depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the depth is out of range.
-    pub fn view_mut(&mut self, depth: Depth) -> &mut DepthView {
-        assert!(
-            depth >= 1 && depth <= self.views.len(),
-            "depth {depth} out of range 1..={}",
-            self.views.len()
-        );
-        &mut self.views[depth - 1]
-    }
-
-    /// Iterates over the views from the root depth downwards.
-    pub fn iter(&self) -> impl Iterator<Item = &DepthView> {
+    /// Iterates over the per-depth tables from the root depth downwards.
+    pub fn iter(&self) -> impl Iterator<Item = &DepthTable> {
         self.views.iter()
     }
 
@@ -359,7 +302,6 @@ impl ViewTable {
                     .map(|d| std::mem::size_of_val(d.components()))
                     .sum::<usize>()
                     + e.summary().footprint()
-                    + std::mem::size_of::<u64>()
                     + std::mem::size_of::<usize>()
             })
             .sum()
@@ -452,39 +394,10 @@ mod tests {
         assert_eq!(entry.infix(), 1);
         assert_eq!(entry.prefix(), &Prefix::from_components(vec![0, 1]));
         assert_eq!(entry.process_count(), 3);
-        assert_eq!(entry.timestamp(), 0);
         assert!(view.entry(9).is_none());
         assert_eq!(view.known_processes().len(), 6);
         assert_eq!(view.represented_processes(), 9);
         assert!(!view.is_empty());
-    }
-
-    #[test]
-    fn merge_newer_only_accepts_strictly_newer_lines() {
-        let prefix = Prefix::from_components(vec![1]);
-        let mut line = ViewEntry::new(prefix.clone(), vec![], InterestSummary::empty(), 3, 5);
-        let stale = ViewEntry::new(prefix.clone(), vec![], InterestSummary::empty(), 9, 5);
-        let fresh = ViewEntry::new(prefix, vec![], InterestSummary::match_all(), 7, 6);
-        assert!(!line.merge_newer(&stale));
-        assert_eq!(line.process_count(), 3);
-        assert!(line.merge_newer(&fresh));
-        assert_eq!(line.process_count(), 7);
-        assert_eq!(line.timestamp(), 6);
-    }
-
-    #[test]
-    fn update_bumps_timestamp_in_place() {
-        let prefix = Prefix::from_components(vec![2]);
-        let mut line = ViewEntry::new(prefix, vec![], InterestSummary::empty(), 1, 0);
-        line.update(
-            vec!["2.0.0".parse().unwrap()],
-            InterestSummary::match_all(),
-            4,
-            9,
-        );
-        assert_eq!(line.delegates().len(), 1);
-        assert_eq!(line.process_count(), 4);
-        assert_eq!(line.timestamp(), 9);
     }
 
     #[test]
@@ -501,7 +414,7 @@ mod tests {
     #[should_panic(expected = "ordered by depth")]
     fn new_rejects_out_of_order_views() {
         let owner: Address = "0.0.0".parse().unwrap();
-        let view = DepthView::new(2, Prefix::root(), vec![]);
+        let view = DepthTable::new(2, Prefix::root(), vec![]);
         let _ = ViewTable::new(owner, vec![view]);
     }
 

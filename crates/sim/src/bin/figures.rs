@@ -11,8 +11,7 @@
 //! ```
 //!
 //! Every selected experiment prints an ASCII table to stdout and writes a
-//! CSV file to the output directory; `EXPERIMENTS.md` documents how the
-//! resulting curves compare with the paper's.
+//! CSV file to the output directory.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -9,9 +9,9 @@
 
 use std::time::Instant;
 
-use pmcast_sim::runner::{
-    run_experiment, run_experiment_parallel, ExperimentConfig, Protocol,
-};
+use pmcast_sim::experiments::Profile;
+use pmcast_sim::runner::{AggregateOutcome, Protocol};
+use pmcast_sim::scenario::Scenario;
 
 fn main() {
     let mut trials = 3usize;
@@ -22,26 +22,28 @@ fn main() {
             "--sequential" => sequential = true,
             "--flood" => protocol = Protocol::FloodBroadcast,
             other => {
-                trials = other.parse().unwrap_or_else(|_| {
-                    panic!("expected a trial count, --sequential or --flood, got {other:?}")
+                trials = other.parse().ok().filter(|&t| t > 0).unwrap_or_else(|| {
+                    panic!(
+                        "expected a positive trial count, --sequential or --flood, got {other:?}"
+                    )
                 });
             }
         }
     }
-    let config = ExperimentConfig::paper_reliability()
-        .with_trials(trials)
-        .with_matching_rate(0.5)
-        .with_protocol_kind(protocol);
-    let started = Instant::now();
-    let outcome = if sequential {
-        run_experiment(&config)
-    } else {
-        run_experiment_parallel(&config)
+    let scenario = Scenario {
+        trials,
+        ..Profile::Paper.reliability_base()
     };
+    let started = Instant::now();
+    let outcome = AggregateOutcome::from_trials(&if sequential {
+        scenario.run(protocol)
+    } else {
+        scenario.run_parallel(protocol)
+    });
     let elapsed = started.elapsed();
     println!(
         "n={} trials={} mode={} threads={} delivery={:.4} spurious={:.4} messages={:.0} rounds={:.1} elapsed={:.3}s ({:.3}s/trial)",
-        config.group_size(),
+        scenario.capacity(),
         trials,
         if sequential { "sequential" } else { "parallel" },
         if sequential { 1 } else { rayon::current_num_threads() },

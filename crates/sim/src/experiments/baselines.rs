@@ -5,9 +5,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::report::FigureRow;
-use crate::runner::{run_experiment_parallel, Protocol};
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{aggregate, Profile};
 
 /// One protocol's aggregate behaviour at one matching rate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,12 +68,7 @@ pub fn run(profile: Profile) -> Vec<BaselineRow> {
             (PROTOCOL_FLOODING, Protocol::FloodBroadcast),
             (PROTOCOL_GENUINE, Protocol::GenuineMulticast),
         ] {
-            let outcome = run_experiment_parallel(
-                &base
-                    .clone()
-                    .with_matching_rate(matching_rate)
-                    .with_protocol_kind(kind),
-            );
+            let outcome = aggregate(&base, matching_rate, kind);
             rows.push(BaselineRow {
                 protocol: id,
                 matching_rate,

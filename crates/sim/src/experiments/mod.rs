@@ -10,7 +10,9 @@
 //!
 //! Each module exposes a `run(profile)` function returning typed rows that
 //! implement [`crate::report::FigureRow`], so results can be printed, saved
-//! as CSV and compared against the paper's curves (see `EXPERIMENTS.md`).
+//! as CSV and compared against the paper's curves.  Every data point is a
+//! [`Scenario`] derived from the profile's base scenario and run through
+//! [`Scenario::run_parallel`].
 
 pub mod baselines;
 pub mod reliability;
@@ -20,9 +22,11 @@ pub mod spurious;
 pub mod tuning;
 pub mod views;
 
+use pmcast_core::PmcastConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::runner::ExperimentConfig;
+use crate::runner::{AggregateOutcome, Protocol};
+use crate::scenario::Scenario;
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,24 +38,24 @@ pub enum Profile {
 }
 
 impl Profile {
-    /// Base configuration for the reliability-style experiments
-    /// (Figures 4, 5 and 7).
-    pub fn reliability_base(self) -> ExperimentConfig {
+    /// Base scenario for the reliability-style experiments (Figures 4, 5
+    /// and 7): `a = 6` (quick, n = 216, 3 trials) or the paper's `a = 22`
+    /// (n ≈ 10 648, `R = 3`, `F = 2`, 5 trials), `d = 3`, matching rate
+    /// 0.5, `ε = 0.01`, `τ = 0.001`, the default one-event workload and
+    /// global membership.
+    pub fn reliability_base(self) -> Scenario {
         match self {
-            Profile::Quick => ExperimentConfig::quick().with_trials(3),
-            Profile::Paper => ExperimentConfig::paper_reliability().with_trials(5),
+            Profile::Quick => base_scenario(6, PmcastConfig::default(), 3, 400),
+            Profile::Paper => base_scenario(22, PmcastConfig::paper_reliability(), 5, 600),
         }
     }
 
-    /// Base configuration for the scalability experiment (Figure 6); the
-    /// arity is set per data point.
-    pub fn scalability_base(self, arity: u32) -> ExperimentConfig {
+    /// Base scenario for the scalability experiment (Figure 6): the
+    /// reliability base with `R = 4`, `F = 3` and the given arity.
+    pub fn scalability_base(self, arity: u32) -> Scenario {
         match self {
-            Profile::Quick => ExperimentConfig::quick()
-                .with_arity(arity)
-                .with_trials(3)
-                .with_protocol(pmcast_core::PmcastConfig::paper_scalability()),
-            Profile::Paper => ExperimentConfig::paper_scalability(arity).with_trials(5),
+            Profile::Quick => base_scenario(arity, PmcastConfig::paper_scalability(), 3, 400),
+            Profile::Paper => base_scenario(arity, PmcastConfig::paper_scalability(), 5, 600),
         }
     }
 
@@ -72,6 +76,30 @@ impl Profile {
     }
 }
 
+/// The shared shape of every profile's base scenario.
+fn base_scenario(arity: u32, protocol: PmcastConfig, trials: usize, max_rounds: u64) -> Scenario {
+    Scenario::builder()
+        .group(arity, 3)
+        .protocol(protocol)
+        .matching_rate(0.5)
+        .loss(0.01)
+        .crash_fraction(0.001)
+        .trials(trials)
+        .seed(42)
+        .max_rounds(max_rounds)
+        .build()
+}
+
+/// Runs every trial of `base` at the given matching rate in parallel and
+/// aggregates them: one data point of a sweep.
+fn aggregate(base: &Scenario, matching_rate: f64, protocol: Protocol) -> AggregateOutcome {
+    let point = Scenario {
+        matching_rate,
+        ..base.clone()
+    };
+    AggregateOutcome::from_trials(&point.run_parallel(protocol))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,9 +107,16 @@ mod tests {
     #[test]
     fn profiles_produce_consistent_configs() {
         let quick = Profile::Quick.reliability_base();
-        assert_eq!(quick.group_size(), 216);
+        assert_eq!(quick.capacity(), 216);
+        assert_eq!((quick.trials, quick.seed, quick.max_rounds), (3, 42, 400));
+        assert_eq!(
+            (quick.loss_probability, quick.crash_fraction),
+            (0.01, 0.001)
+        );
+        assert!(quick.publications.is_empty(), "default workload");
         let paper = Profile::Paper.reliability_base();
-        assert_eq!(paper.group_size(), 10_648);
+        assert_eq!(paper.capacity(), 10_648);
+        assert_eq!((paper.trials, paper.max_rounds), (5, 600));
         assert_eq!(paper.protocol.redundancy, 3);
         assert_eq!(paper.protocol.fanout, 2);
 
@@ -90,7 +125,7 @@ mod tests {
         assert_eq!(scal.protocol.redundancy, 4);
         assert_eq!(scal.protocol.fanout, 3);
         let scal_quick = Profile::Quick.scalability_base(4);
-        assert_eq!(scal_quick.group_size(), 64);
+        assert_eq!(scal_quick.capacity(), 64);
         assert_eq!(scal_quick.protocol.fanout, 3);
 
         assert!(Profile::Paper.matching_rates().len() > Profile::Quick.matching_rates().len());

@@ -11,9 +11,10 @@ use serde::{Deserialize, Serialize};
 use pmcast_analysis::{tree::TreeModel, GroupParams};
 
 use crate::report::FigureRow;
-use crate::runner::{run_experiment_parallel, ExperimentConfig};
+use crate::runner::Protocol;
+use crate::scenario::Scenario;
 
-use super::Profile;
+use super::{aggregate, Profile};
 
 /// One data point of Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -51,15 +52,15 @@ impl FigureRow for ReliabilityRow {
     }
 }
 
-fn analytical_model(config: &ExperimentConfig) -> TreeModel {
+fn analytical_model(scenario: &Scenario) -> TreeModel {
     TreeModel::new(
         GroupParams {
-            arity: config.arity,
-            depth: config.depth,
-            redundancy: config.protocol.redundancy,
-            fanout: config.protocol.fanout,
+            arity: scenario.arity,
+            depth: scenario.depth,
+            redundancy: scenario.protocol.redundancy,
+            fanout: scenario.protocol.fanout,
         },
-        config.protocol.env,
+        scenario.protocol.env,
     )
 }
 
@@ -71,8 +72,7 @@ pub fn run(profile: Profile) -> Vec<ReliabilityRow> {
         .matching_rates()
         .into_iter()
         .map(|matching_rate| {
-            let config = base.clone().with_matching_rate(matching_rate);
-            let outcome = run_experiment_parallel(&config);
+            let outcome = aggregate(&base, matching_rate, Protocol::Pmcast);
             let analytical = model.reliability(matching_rate);
             ReliabilityRow {
                 matching_rate,

@@ -12,9 +12,9 @@ use serde::{Deserialize, Serialize};
 use pmcast_analysis::{pittel, tree::TreeModel, GroupParams};
 
 use crate::report::FigureRow;
-use crate::runner::run_experiment_parallel;
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{aggregate, Profile};
 
 /// One data point of the round-count validation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,8 +64,8 @@ pub fn run(profile: Profile) -> Vec<RoundsRow> {
         .matching_rates()
         .into_iter()
         .map(|matching_rate| {
-            let outcome = run_experiment_parallel(&base.clone().with_matching_rate(matching_rate));
-            let n = base.group_size() as f64;
+            let outcome = aggregate(&base, matching_rate, Protocol::Pmcast);
+            let n = base.capacity() as f64;
             let flat = pittel::rounds_estimate_faulty(
                 n * matching_rate,
                 base.protocol.fanout as f64 * matching_rate,

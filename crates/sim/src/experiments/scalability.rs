@@ -8,9 +8,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::report::FigureRow;
-use crate::runner::run_experiment_parallel;
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{aggregate, Profile};
 
 /// One data point of Figure 6 (one subgroup size, both matching rates).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,11 +46,11 @@ pub fn run(profile: Profile) -> Vec<ScalabilityRow> {
         .into_iter()
         .map(|arity| {
             let base = profile.scalability_base(arity);
-            let at_half = run_experiment_parallel(&base.clone().with_matching_rate(0.5));
-            let at_fifth = run_experiment_parallel(&base.clone().with_matching_rate(0.2));
+            let at_half = aggregate(&base, 0.5, Protocol::Pmcast);
+            let at_fifth = aggregate(&base, 0.2, Protocol::Pmcast);
             ScalabilityRow {
                 arity: arity as f64,
-                group_size: base.group_size() as f64,
+                group_size: base.capacity() as f64,
                 delivery_rate_05: at_half.delivery_mean,
                 delivery_rate_02: at_fifth.delivery_mean,
             }

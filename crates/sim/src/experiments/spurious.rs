@@ -10,9 +10,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::report::FigureRow;
-use crate::runner::{run_experiment_parallel, Protocol};
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{aggregate, Profile};
 
 /// One data point of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,13 +43,8 @@ pub fn run(profile: Profile) -> Vec<SpuriousRow> {
         .matching_rates()
         .into_iter()
         .map(|matching_rate| {
-            let pmcast = run_experiment_parallel(&base.clone().with_matching_rate(matching_rate));
-            let flooding = run_experiment_parallel(
-                &base
-                    .clone()
-                    .with_matching_rate(matching_rate)
-                    .with_protocol_kind(Protocol::FloodBroadcast),
-            );
+            let pmcast = aggregate(&base, matching_rate, Protocol::Pmcast);
+            let flooding = aggregate(&base, matching_rate, Protocol::FloodBroadcast);
             SpuriousRow {
                 matching_rate,
                 spurious_pmcast: pmcast.spurious_mean,

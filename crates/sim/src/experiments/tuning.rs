@@ -9,9 +9,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::report::FigureRow;
-use crate::runner::run_experiment_parallel;
+use crate::runner::Protocol;
+use crate::scenario::Scenario;
 
-use super::Profile;
+use super::{aggregate, Profile};
 
 /// The tuning threshold `h` used by the tuned runs.
 pub const DEFAULT_THRESHOLD: usize = 12;
@@ -56,16 +57,16 @@ impl FigureRow for TuningRow {
 /// Runs the Figure 7 sweep for the given profile and threshold.
 pub fn run_with_threshold(profile: Profile, threshold: usize) -> Vec<TuningRow> {
     let base = profile.reliability_base();
+    let tuned_base = Scenario {
+        protocol: base.protocol.clone().with_tuning(threshold),
+        ..base.clone()
+    };
     profile
         .matching_rates()
         .into_iter()
         .map(|matching_rate| {
-            let original = run_experiment_parallel(&base.clone().with_matching_rate(matching_rate));
-            let tuned_config = base
-                .clone()
-                .with_matching_rate(matching_rate)
-                .with_protocol(base.protocol.clone().with_tuning(threshold));
-            let tuned = run_experiment_parallel(&tuned_config);
+            let original = aggregate(&base, matching_rate, Protocol::Pmcast);
+            let tuned = aggregate(&tuned_base, matching_rate, Protocol::Pmcast);
             TuningRow {
                 matching_rate,
                 delivery_original: original.delivery_mean,

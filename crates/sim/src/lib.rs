@@ -11,8 +11,8 @@
 //!   crash/churn schedules, loss, and the [`scenario::MembershipSpec`]
 //!   membership axis (global knowledge, flat lpbcast-style partial views,
 //!   or the paper's hierarchical delegate tables).
-//! * [`runner`] — run one or many multicast trials for a given scenario or
-//!   experiment point, optionally in parallel.  One generic simulation
+//! * [`runner`] — run one or many multicast trials of a scenario,
+//!   optionally in parallel, and aggregate their outcomes.  One generic simulation
 //!   loop serves every protocol through
 //!   [`pmcast_core::MulticastProtocol`] / [`pmcast_core::ProtocolFactory`];
 //!   the [`runner::Protocol`] enum is a thin factory dispatch.
@@ -33,23 +33,28 @@
 //! ## Performance architecture
 //!
 //! All experiment sweeps run their Monte-Carlo trials through
-//! [`runner::run_trials_parallel`], which fans independent trials out over
-//! every available core. Trial `t` derives its entire randomness stream from
-//! `seed + t`, so the parallel runner is **bit-identical** to the sequential
-//! [`runner::run_trials`] — same `AggregateOutcome`, any thread count, any
-//! scheduling — which the test suite asserts. When adding experiments, keep
-//! all randomness derived from the per-trial seed (never from state shared
-//! between trials) and parallelism remains free and deterministic.
+//! [`scenario::Scenario::run_parallel`], which fans independent trials out
+//! over every available core. Trial `t` derives its entire randomness stream
+//! from `seed + t`, so the parallel runner is **bit-identical** to the
+//! sequential [`scenario::Scenario::run`] — same `AggregateOutcome`, any
+//! thread count, any scheduling — which the test suite asserts. When adding
+//! experiments, keep all randomness derived from the per-trial seed (never
+//! from state shared between trials) and parallelism remains free and
+//! deterministic.
 //!
 //! ## Example
 //!
 //! ```rust
-//! use pmcast_sim::runner::{ExperimentConfig, run_experiment};
+//! use pmcast_sim::runner::{AggregateOutcome, Protocol};
+//! use pmcast_sim::scenario::Scenario;
 //!
-//! let config = ExperimentConfig::quick()
-//!     .with_matching_rate(0.5)
-//!     .with_trials(3);
-//! let outcome = run_experiment(&config);
+//! let scenario = Scenario::builder()
+//!     .group(6, 3)
+//!     .matching_rate(0.5)
+//!     .loss(0.01)
+//!     .trials(3)
+//!     .build();
+//! let outcome = AggregateOutcome::from_trials(&scenario.run(Protocol::Pmcast));
 //! assert!(outcome.delivery_mean > 0.5);
 //! assert_eq!(outcome.trials, 3);
 //! ```

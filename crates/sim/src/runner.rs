@@ -12,9 +12,9 @@
 //! ## Seed derivation (reproducibility contract)
 //!
 //! External reproducers can regenerate any trial exactly.  Trial `t` of a
-//! scenario (or [`ExperimentConfig`]) with base seed `s` derives **all** of
-//! its randomness from the trial seed `seed_t = s.wrapping_add(t)`, split
-//! over exactly two ChaCha8 streams:
+//! scenario with base seed `s` derives **all** of its randomness from the
+//! trial seed `seed_t = s.wrapping_add(t)`, split over exactly two ChaCha8
+//! streams:
 //!
 //! 1. **Workload stream** —
 //!    `ChaCha8Rng::seed_from_u64(seed_t.wrapping_mul(0x9E37_79B9).wrapping_add(7))`,
@@ -108,14 +108,14 @@
 //! **bit-identical** to one declaring none — the golden tests assert this.
 //!
 //! Because nothing is drawn from state shared between trials, the parallel
-//! runner [`run_trials_parallel`] is bit-identical to the sequential
-//! [`run_trials`] (asserted by the test suite).
+//! runner [`run_scenario_parallel`] is bit-identical to the sequential
+//! [`run_scenario`] (asserted by the test suite).
 
 use std::sync::Arc;
 
 use pmcast_addr::AddressSpace;
 use pmcast_core::{
-    FloodFactory, GenuineFactory, MulticastProtocol, MulticastReport, PmcastConfig, PmcastFactory,
+    FloodFactory, GenuineFactory, MulticastProtocol, MulticastReport, PmcastFactory,
     ProtocolFactory,
 };
 use pmcast_interest::{Event, EventId};
@@ -147,134 +147,6 @@ pub enum Protocol {
     /// Genuine multicast with global interest knowledge
     /// ([`GenuineFactory`]).
     GenuineMulticast,
-}
-
-/// Everything needed to run one experiment point: the group shape, the
-/// protocol parameters, the workload and the fault model.
-///
-/// This is the serializable sweep-friendly profile used by the experiments
-/// and figures; richer workloads (multiple publishers, multiple events,
-/// publish/churn schedules) are expressed as a [`Scenario`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentConfig {
-    /// Subgroups per level (`a`).
-    pub arity: u32,
-    /// Tree depth (`d`).
-    pub depth: usize,
-    /// Protocol parameters (R, F, env, tuning, …).
-    pub protocol: PmcastConfig,
-    /// Which protocol to run.
-    pub protocol_kind: Protocol,
-    /// Fraction of interested processes (`p_d`).
-    pub matching_rate: f64,
-    /// Network message-loss probability (`ε`).
-    pub loss_probability: f64,
-    /// Fraction of processes crashed at the start of the run (`τ`).
-    pub crash_fraction: f64,
-    /// Independent trials to average over.
-    pub trials: usize,
-    /// Base PRNG seed; trial `t` uses `seed + t`.
-    pub seed: u64,
-    /// Safety cap on simulated rounds per trial.
-    pub max_rounds: u64,
-}
-
-impl ExperimentConfig {
-    /// A small, fast profile (216 processes) for tests and smoke benches.
-    pub fn quick() -> Self {
-        Self {
-            arity: 6,
-            depth: 3,
-            protocol: PmcastConfig::default(),
-            protocol_kind: Protocol::Pmcast,
-            matching_rate: 0.5,
-            loss_probability: 0.01,
-            crash_fraction: 0.001,
-            trials: 5,
-            seed: 42,
-            max_rounds: 400,
-        }
-    }
-
-    /// The paper-scale profile of Figures 4, 5 and 7: `a = 22`, `d = 3`
-    /// (n ≈ 10 648), `R = 3`, `F = 2`.
-    pub fn paper_reliability() -> Self {
-        Self {
-            arity: 22,
-            depth: 3,
-            protocol: PmcastConfig::paper_reliability(),
-            protocol_kind: Protocol::Pmcast,
-            matching_rate: 0.5,
-            loss_probability: 0.01,
-            crash_fraction: 0.001,
-            trials: 5,
-            seed: 42,
-            max_rounds: 600,
-        }
-    }
-
-    /// The paper-scale profile of Figure 6: `d = 3`, `R = 4`, `F = 3`, with
-    /// the arity varied by the experiment.
-    pub fn paper_scalability(arity: u32) -> Self {
-        Self {
-            arity,
-            protocol: PmcastConfig::paper_scalability(),
-            ..Self::paper_reliability()
-        }
-    }
-
-    /// Group size `n = a^d`.
-    pub fn group_size(&self) -> usize {
-        (self.arity as usize).pow(self.depth as u32)
-    }
-
-    /// Sets the matching rate, returning the config for chaining.
-    pub fn with_matching_rate(mut self, matching_rate: f64) -> Self {
-        self.matching_rate = matching_rate;
-        self
-    }
-
-    /// Sets the number of trials, returning the config for chaining.
-    pub fn with_trials(mut self, trials: usize) -> Self {
-        self.trials = trials;
-        self
-    }
-
-    /// Sets the arity, returning the config for chaining.
-    pub fn with_arity(mut self, arity: u32) -> Self {
-        self.arity = arity;
-        self
-    }
-
-    /// Sets the protocol kind, returning the config for chaining.
-    pub fn with_protocol_kind(mut self, kind: Protocol) -> Self {
-        self.protocol_kind = kind;
-        self
-    }
-
-    /// Sets the protocol parameters, returning the config for chaining.
-    pub fn with_protocol(mut self, protocol: PmcastConfig) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Sets the PRNG seed, returning the config for chaining.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the loss probability, returning the config for chaining.
-    pub fn with_loss(mut self, loss_probability: f64) -> Self {
-        self.loss_probability = loss_probability;
-        self
-    }
-
-    /// Sets the initial crash fraction, returning the config for chaining.
-    pub fn with_crash_fraction(mut self, crash_fraction: f64) -> Self {
-        self.crash_fraction = crash_fraction;
-        self
-    }
 }
 
 /// Per-event delivery-latency histogram of one trial: how many rounds
@@ -933,98 +805,47 @@ pub fn run_scenario_trial_with(
     }
 }
 
-/// Runs all trials of a scenario sequentially.
+/// Runs all `scenario.trials` trials of a scenario sequentially.
 pub fn run_scenario(scenario: &Scenario, protocol: Protocol) -> Vec<TrialOutcome> {
-    (0..scenario.trials.max(1))
+    (0..scenario.trials)
         .map(|trial| run_scenario_trial_with(scenario, protocol, trial))
         .collect()
 }
 
-/// Runs all trials of a scenario on all available cores; bit-identical to
-/// [`run_scenario`] (see [`run_trials_parallel`]).
+/// Runs all trials of a scenario on all available cores.
+///
+/// Trial `t` derives every random choice from `scenario.seed + t` (see the
+/// module-level seed contract), so trials are independent of scheduling:
+/// this returns outcomes in trial order and is **bit-identical** to
+/// [`run_scenario`], no matter how many worker threads execute it (a
+/// property the test suite asserts).
 pub fn run_scenario_parallel(scenario: &Scenario, protocol: Protocol) -> Vec<TrialOutcome> {
     use rayon::prelude::*;
-    let trials: Vec<usize> = (0..scenario.trials.max(1)).collect();
+    let trials: Vec<usize> = (0..scenario.trials).collect();
     trials
         .par_iter()
         .map(|&trial| run_scenario_trial_with(scenario, protocol, trial))
         .collect()
 }
 
-/// Runs a single trial with the given trial index (offsetting the seed).
-pub fn run_trial(config: &ExperimentConfig, trial: usize) -> TrialOutcome {
-    run_scenario_trial_with(&Scenario::from_experiment(config), config.protocol_kind, trial)
-}
-
-/// Runs all trials of an experiment point sequentially.
-pub fn run_trials(config: &ExperimentConfig) -> Vec<TrialOutcome> {
-    run_scenario(&Scenario::from_experiment(config), config.protocol_kind)
-}
-
-/// Runs all trials of an experiment point on all available cores.
-///
-/// Trial `t` derives every random choice from `config.seed + t` (see the
-/// module-level seed contract), so trials are independent of scheduling:
-/// this returns outcomes in trial order and is **bit-identical** to
-/// [`run_trials`] for the same configuration, no matter how many worker
-/// threads execute it (a property the test suite asserts).
-pub fn run_trials_parallel(config: &ExperimentConfig) -> Vec<TrialOutcome> {
-    run_scenario_parallel(&Scenario::from_experiment(config), config.protocol_kind)
-}
-
-/// Runs all trials of an experiment point sequentially and aggregates them.
-pub fn run_experiment(config: &ExperimentConfig) -> AggregateOutcome {
-    AggregateOutcome::from_trials(&run_trials(config))
-}
-
-/// Runs all trials of an experiment point in parallel and aggregates them.
-///
-/// Produces the same [`AggregateOutcome`] as [`run_experiment`] (see
-/// [`run_trials_parallel`]); all experiment sweeps and the `figures` binary
-/// go through this entry point.
-pub fn run_experiment_parallel(config: &ExperimentConfig) -> AggregateOutcome {
-    AggregateOutcome::from_trials(&run_trials_parallel(config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Profile;
     use pmcast_simnet::FaultPlan;
 
-    #[test]
-    fn quick_profile_shape() {
-        let config = ExperimentConfig::quick();
-        assert_eq!(config.group_size(), 216);
-        let paper = ExperimentConfig::paper_reliability();
-        assert_eq!(paper.group_size(), 10_648);
-        let scal = ExperimentConfig::paper_scalability(10);
-        assert_eq!(scal.group_size(), 1_000);
-        assert_eq!(scal.protocol.redundancy, 4);
-    }
-
-    #[test]
-    fn builders_chain() {
-        let config = ExperimentConfig::quick()
-            .with_matching_rate(0.25)
-            .with_trials(2)
-            .with_arity(4)
-            .with_seed(9)
-            .with_loss(0.05)
-            .with_crash_fraction(0.01)
-            .with_protocol(PmcastConfig::default().with_fanout(4))
-            .with_protocol_kind(Protocol::FloodBroadcast);
-        assert_eq!(config.matching_rate, 0.25);
-        assert_eq!(config.trials, 2);
-        assert_eq!(config.arity, 4);
-        assert_eq!(config.seed, 9);
-        assert_eq!(config.protocol.fanout, 4);
-        assert_eq!(config.protocol_kind, Protocol::FloodBroadcast);
+    /// The quick experiment point the `Profile::Quick` sweeps run, with
+    /// `trials` trials.
+    fn quick(trials: usize) -> Scenario {
+        Scenario {
+            trials,
+            ..Profile::Quick.reliability_base()
+        }
     }
 
     #[test]
     fn pmcast_trial_delivers_to_most_interested_processes() {
-        let config = ExperimentConfig::quick().with_trials(1);
-        let outcome = run_trial(&config, 0);
+        let outcome = run_scenario_trial_with(&quick(1), Protocol::Pmcast, 0);
         assert!(outcome.report.interested > 0);
         assert!(outcome.report.delivery_ratio() > 0.7, "{outcome:?}");
         assert!(outcome.messages_sent > 0);
@@ -1084,17 +905,23 @@ mod tests {
 
     #[test]
     fn experiments_are_deterministic_per_seed() {
-        let config = ExperimentConfig::quick().with_trials(2).with_seed(77);
-        let a = run_experiment(&config);
-        let b = run_experiment(&config);
+        let scenario = Scenario {
+            seed: 77,
+            ..quick(2)
+        };
+        let a = AggregateOutcome::from_trials(&scenario.run(Protocol::Pmcast));
+        let b = AggregateOutcome::from_trials(&scenario.run(Protocol::Pmcast));
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_and_serial_agree() {
-        let config = ExperimentConfig::quick().with_trials(4).with_seed(5);
-        let serial = run_experiment(&config);
-        let parallel = run_experiment_parallel(&config);
+        let scenario = Scenario {
+            seed: 5,
+            ..quick(4)
+        };
+        let serial = AggregateOutcome::from_trials(&scenario.run(Protocol::Pmcast));
+        let parallel = AggregateOutcome::from_trials(&scenario.run_parallel(Protocol::Pmcast));
         assert_eq!(serial, parallel);
     }
 
@@ -1108,16 +935,16 @@ mod tests {
         // order under real multi-threading is covered by the rayon shim's
         // own order-preservation test, so the composition holds without
         // mutating the process-global RAYON_NUM_THREADS here.)
-        let config = ExperimentConfig::quick();
-        let sequential = run_trials(&config);
-        let parallel = run_trials_parallel(&config);
+        let scenario = quick(5);
+        let sequential = scenario.run(Protocol::Pmcast);
+        let parallel = scenario.run_parallel(Protocol::Pmcast);
         assert_eq!(sequential, parallel);
         assert_eq!(
             AggregateOutcome::from_trials(&sequential),
             AggregateOutcome::from_trials(&parallel)
         );
         // And repeated parallel runs are stable despite thread scheduling.
-        assert_eq!(parallel, run_trials_parallel(&config));
+        assert_eq!(parallel, scenario.run_parallel(Protocol::Pmcast));
     }
 
     #[test]
@@ -1134,8 +961,7 @@ mod tests {
             (Protocol::GenuineMulticast, [(111, 111, 0, 1776, 16), (102, 102, 0, 1632, 16), (106, 106, 0, 1696, 17)]),
         ];
         for (protocol, expected) in golden_quick {
-            let config = ExperimentConfig::quick().with_trials(3).with_protocol_kind(protocol);
-            for (trial, outcome) in run_trials(&config).iter().enumerate() {
+            for (trial, outcome) in quick(3).run(protocol).iter().enumerate() {
                 let got = (
                     outcome.report.interested as u64,
                     outcome.report.delivered_interested as u64,
@@ -1182,9 +1008,12 @@ mod tests {
 
     #[test]
     fn flood_baseline_reaches_more_uninterested_processes_than_pmcast() {
-        let base = ExperimentConfig::quick().with_trials(2).with_matching_rate(0.3);
-        let pmcast = run_experiment(&base);
-        let flood = run_experiment(&base.clone().with_protocol_kind(Protocol::FloodBroadcast));
+        let base = Scenario {
+            matching_rate: 0.3,
+            ..quick(2)
+        };
+        let pmcast = AggregateOutcome::from_trials(&base.run(Protocol::Pmcast));
+        let flood = AggregateOutcome::from_trials(&base.run(Protocol::FloodBroadcast));
         assert!(
             flood.spurious_mean > pmcast.spurious_mean,
             "flooding ({}) should touch more uninterested processes than pmcast ({})",
@@ -1195,11 +1024,11 @@ mod tests {
 
     #[test]
     fn genuine_baseline_never_touches_uninterested_processes() {
-        let config = ExperimentConfig::quick()
-            .with_trials(2)
-            .with_matching_rate(0.3)
-            .with_protocol_kind(Protocol::GenuineMulticast);
-        let outcome = run_experiment(&config);
+        let scenario = Scenario {
+            matching_rate: 0.3,
+            ..quick(2)
+        };
+        let outcome = AggregateOutcome::from_trials(&scenario.run(Protocol::GenuineMulticast));
         assert_eq!(outcome.spurious_mean, 0.0);
         assert!(outcome.delivery_mean > 0.7);
     }
@@ -1487,8 +1316,7 @@ mod tests {
 
     #[test]
     fn latency_histograms_account_for_every_delivery() {
-        let config = ExperimentConfig::quick().with_trials(1);
-        let outcome = run_trial(&config, 0);
+        let outcome = run_scenario_trial_with(&quick(1), Protocol::Pmcast, 0);
         assert_eq!(outcome.latency.len(), outcome.per_event.len());
         let histogram = &outcome.latency[0];
         assert_eq!(
@@ -1718,9 +1546,11 @@ mod tests {
         // A scenario spelling out the default workload explicitly (same
         // event id, same publisher rule, round 0) reproduces the implicit
         // default bit for bit — the seed contract in action.
-        let config = ExperimentConfig::quick().with_trials(1).with_seed(123);
-        let implicit = run_trial(&config, 0);
-        let mut scenario = Scenario::from_experiment(&config);
+        let mut scenario = Scenario {
+            seed: 123,
+            ..quick(1)
+        };
+        let implicit = run_scenario_trial_with(&scenario, Protocol::Pmcast, 0);
         scenario.publications.push(Publication {
             round: 0,
             publisher: Publisher::Interested,

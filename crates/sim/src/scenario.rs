@@ -40,9 +40,7 @@ use pmcast_membership::{
 use pmcast_simnet::{FaultPlan, LinkDelay, PartitionWindow, Straggler};
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{
-    run_scenario, run_scenario_parallel, ExperimentConfig, Protocol, TrialOutcome,
-};
+use crate::runner::{run_scenario, run_scenario_parallel, Protocol, TrialOutcome};
 
 /// Which membership provider the processes of a trial draw their fanout
 /// candidates from — the scenario axis that turns "a group of `n` known
@@ -338,9 +336,9 @@ impl TopicWorkload {
 /// An empty `publications` list means the **default workload**: one event
 /// (`id = 1000 + trial`, one `b` attribute) published at round 0 by a
 /// random interested process — the paper's one-event-one-sender trial
-/// shape, kept as the default so [`ExperimentConfig`] sweeps reproduce
-/// their historical random streams exactly (see the seed-derivation
-/// contract in [`crate::runner`]).
+/// shape, kept as the default so the figure sweeps of
+/// [`crate::experiments`] reproduce their historical random streams
+/// exactly (see the seed-derivation contract in [`crate::runner`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Subgroups per level (`a`).
@@ -457,34 +455,6 @@ impl Scenario {
         }
     }
 
-    /// The scenario equivalent of an [`ExperimentConfig`] point: same
-    /// shape, workload and fault model, with the default publish schedule.
-    /// `config.protocol_kind` is *not* part of the scenario — the protocol
-    /// is chosen when running it.
-    pub fn from_experiment(config: &ExperimentConfig) -> Self {
-        Self {
-            arity: config.arity,
-            depth: config.depth,
-            protocol: config.protocol.clone(),
-            matching_rate: config.matching_rate,
-            loss_probability: config.loss_probability,
-            crash_fraction: config.crash_fraction,
-            crash_schedule: Vec::new(),
-            join_schedule: Vec::new(),
-            leave_schedule: Vec::new(),
-            link_delay: None,
-            partition_schedule: Vec::new(),
-            subtree_loss: Vec::new(),
-            straggler_schedule: Vec::new(),
-            publications: Vec::new(),
-            topics: None,
-            membership: MembershipSpec::Global,
-            trials: config.trials,
-            seed: config.seed,
-            max_rounds: config.max_rounds,
-        }
-    }
-
     /// The number of addresses of the scenario's tree, `a^d` — the upper
     /// bound any population can grow to, and the range every process index
     /// (publishers, crash/join/leave schedules) is validated against.
@@ -559,7 +529,7 @@ impl Scenario {
     }
 
     /// Runs all trials on all available cores; bit-identical to
-    /// [`run`](Self::run) (see [`crate::runner::run_trials_parallel`]).
+    /// [`run`](Self::run) (see [`crate::runner::run_scenario_parallel`]).
     pub fn run_parallel(&self, protocol: Protocol) -> Vec<TrialOutcome> {
         run_scenario_parallel(self, protocol)
     }
@@ -749,7 +719,8 @@ impl ScenarioBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the protocol configuration is invalid (see
+    /// Panics if the trial count is zero (the scenario would run nothing
+    /// and aggregate nothing), the protocol configuration is invalid (see
     /// [`PmcastConfig::validate`]), the loss probability or crash fraction
     /// lies outside `[0, 1]`, a [`Publisher::Process`] index or a
     /// crash/join/leave schedule index is out of range for the address
@@ -770,6 +741,10 @@ impl ScenarioBuilder {
     /// [`straggler`](Self::straggler) with a zero period, an out-of-range
     /// process or a duplicate process are all rejected here.
     pub fn build(self) -> Scenario {
+        assert!(
+            self.scenario.trials > 0,
+            "a scenario needs at least one trial"
+        );
         self.scenario.protocol.validate();
         assert!(
             (0.0..=1.0).contains(&self.scenario.loss_probability),
@@ -962,6 +937,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one trial")]
+    fn zero_trials_are_rejected() {
+        let _ = Scenario::builder().trials(0).build();
+    }
+
+    #[test]
     #[should_panic(expected = "must lie in [0, 1]")]
     fn out_of_range_loss_is_rejected() {
         let _ = Scenario::builder().loss(1.5).build();
@@ -1107,17 +1088,6 @@ mod tests {
         assert_eq!(scenario.group_size(), scenario.capacity());
         let sizes = scenario.population_sizes();
         assert_eq!((sizes.initial, sizes.peak, sizes.end), (16, 16, 16));
-    }
-
-    #[test]
-    fn from_experiment_mirrors_the_point() {
-        let config = ExperimentConfig::quick().with_matching_rate(0.3).with_seed(9);
-        let scenario = Scenario::from_experiment(&config);
-        assert_eq!(scenario.arity, config.arity);
-        assert_eq!(scenario.depth, config.depth);
-        assert_eq!(scenario.matching_rate, 0.3);
-        assert_eq!(scenario.seed, 9);
-        assert!(scenario.publications.is_empty(), "default workload");
     }
 
     #[test]

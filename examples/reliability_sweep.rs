@@ -45,9 +45,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         // The same experiment point, as the scenario the prediction module
         // maps onto the model — `delivery_analytical` is the legacy
         // tree-model column, `predicted` the scenario-level loop.
-        let scenario =
-            Scenario::from_experiment(&base.clone().with_matching_rate(row.matching_rate));
-        let prediction = predict(&scenario);
+        let prediction = predict(&Scenario {
+            matching_rate: row.matching_rate,
+            ..base.clone()
+        });
         if let Some(gate) = gate.as_mut() {
             gate.record(
                 &format!("reliability_sweep p_d={}", row.matching_rate),

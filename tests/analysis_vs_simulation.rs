@@ -9,25 +9,38 @@ use pmcast::analysis::markov::InfectionChain;
 use pmcast::analysis::pittel;
 use pmcast::analysis::tree::TreeModel;
 use pmcast::analysis::views::view_size_report;
-use pmcast::sim::runner::{run_experiment, ExperimentConfig};
+use pmcast::sim::experiments::Profile;
+use pmcast::sim::runner::AggregateOutcome;
 use pmcast::{
     predict, EnvParams, Event, GroupParams, MembershipSpec, Protocol, Publisher, Scenario,
 };
 
+/// Runs every pmcast trial of the scenario and aggregates them.
+fn simulate(scenario: &Scenario) -> AggregateOutcome {
+    AggregateOutcome::from_trials(&scenario.run(Protocol::Pmcast))
+}
+
 #[test]
 fn simulation_and_model_agree_at_comfortable_matching_rates() {
-    let config = ExperimentConfig::quick().with_trials(4).with_seed(2024);
+    let scenario = Scenario {
+        trials: 4,
+        seed: 2024,
+        ..Profile::Quick.reliability_base()
+    };
     let model = TreeModel::new(
         GroupParams {
-            arity: config.arity,
-            depth: config.depth,
-            redundancy: config.protocol.redundancy,
-            fanout: config.protocol.fanout,
+            arity: scenario.arity,
+            depth: scenario.depth,
+            redundancy: scenario.protocol.redundancy,
+            fanout: scenario.protocol.fanout,
         },
-        config.protocol.env,
+        scenario.protocol.env,
     );
     for matching_rate in [0.4, 0.6, 0.9] {
-        let simulated = run_experiment(&config.clone().with_matching_rate(matching_rate));
+        let simulated = simulate(&Scenario {
+            matching_rate,
+            ..scenario.clone()
+        });
         let predicted = model.reliability(matching_rate);
         // The model is deliberately pessimistic (Section 4.3 neglects that a
         // depth usually starts with all R delegates already infected), so it
@@ -56,18 +69,28 @@ fn simulation_and_model_agree_at_comfortable_matching_rates() {
 fn both_halves_show_the_small_rate_degradation() {
     // The loss of reliability for very small matching rates (Section 5.1 /
     // 5.3) must be visible in the analysis and in the simulation alike.
-    let config = ExperimentConfig::quick().with_trials(4).with_seed(7);
+    let scenario = Scenario {
+        trials: 4,
+        seed: 7,
+        ..Profile::Quick.reliability_base()
+    };
     let model = TreeModel::new(
         GroupParams {
-            arity: config.arity,
-            depth: config.depth,
-            redundancy: config.protocol.redundancy,
-            fanout: config.protocol.fanout,
+            arity: scenario.arity,
+            depth: scenario.depth,
+            redundancy: scenario.protocol.redundancy,
+            fanout: scenario.protocol.fanout,
         },
-        config.protocol.env,
+        scenario.protocol.env,
     );
-    let tiny_sim = run_experiment(&config.clone().with_matching_rate(0.03));
-    let comfy_sim = run_experiment(&config.clone().with_matching_rate(0.6));
+    let tiny_sim = simulate(&Scenario {
+        matching_rate: 0.03,
+        ..scenario.clone()
+    });
+    let comfy_sim = simulate(&Scenario {
+        matching_rate: 0.6,
+        ..scenario.clone()
+    });
     assert!(tiny_sim.delivery_mean < comfy_sim.delivery_mean);
     let tiny_model = model.reliability(0.03).reliability_degree;
     let comfy_model = model.reliability(0.6).reliability_degree;
@@ -222,20 +245,20 @@ fn provider_and_churn_matrix_stays_within_model_tolerance() {
 
 #[test]
 fn simulated_rounds_never_exceed_the_total_budget_by_much() {
-    let config = ExperimentConfig::quick().with_trials(3).with_matching_rate(0.5);
+    let scenario = Profile::Quick.reliability_base();
     let model = TreeModel::new(
         GroupParams {
-            arity: config.arity,
-            depth: config.depth,
-            redundancy: config.protocol.redundancy,
-            fanout: config.protocol.fanout,
+            arity: scenario.arity,
+            depth: scenario.depth,
+            redundancy: scenario.protocol.redundancy,
+            fanout: scenario.protocol.fanout,
         },
-        config.protocol.env,
+        scenario.protocol.env,
     );
-    let outcome = run_experiment(&config);
+    let outcome = simulate(&scenario);
     let budget = model.total_rounds(0.5) as f64;
     // One extra round per depth for promotion plus one trailing round.
-    let slack = config.depth as f64 + 2.0;
+    let slack = scenario.depth as f64 + 2.0;
     assert!(
         outcome.rounds_mean <= budget + slack,
         "simulation took {} rounds, budget {budget}",
